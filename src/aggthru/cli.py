@@ -43,13 +43,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _load_config(flavor: ProtocolFlavor, config_path):
+def _resolve_config(flavor: ProtocolFlavor, overrides):
     config = default_config(flavor)
     overhead = DEFAULT_OVERHEAD
-    if config_path:
-        overrides = load_override_file(config_path)
+    if overrides:
         config, overhead = apply_overrides(config, overhead, overrides)
     return config, overhead
+
+
+def _load_config(flavor: ProtocolFlavor, config_path):
+    return _resolve_config(flavor, load_override_file(config_path) if config_path else None)
+
+
+def _print_json(payload) -> None:
+    # NaN and infinities are not standard JSON: refuse them with a ValueError
+    print(json.dumps(payload, indent=2, allow_nan=False))
 
 
 def _result_payload(scenario, res) -> dict:
@@ -83,9 +91,9 @@ def _cmd_optimize(args) -> int:
     try:
         res = optimize_exact(scenario, config, overhead)
     except NoFeasiblePlanError as exc:
-        print(json.dumps({"feasible": False, "error": str(exc)}, indent=2))
+        _print_json({"feasible": False, "error": str(exc)})
         return 0
-    print(json.dumps(_result_payload(scenario, res), indent=2))
+    _print_json(_result_payload(scenario, res))
     return 0
 
 
@@ -128,17 +136,14 @@ def _cmd_xopt(args) -> int:
     coefficient = x_opt_coefficient(
         args.ber, 8 * om_bytes, config.ppdu_time_limit, config.preamble
     )
-    print(
-        json.dumps(
-            {
-                "ber": args.ber,
-                "rate_mbps": args.rate,
-                "om_bytes": om_bytes,
-                "x_opt": coefficient * args.rate,
-                "coefficient_per_mbps": coefficient,
-            },
-            indent=2,
-        )
+    _print_json(
+        {
+            "ber": args.ber,
+            "rate_mbps": args.rate,
+            "om_bytes": om_bytes,
+            "x_opt": coefficient * args.rate,
+            "coefficient_per_mbps": coefficient,
+        }
     )
     return 0
 
@@ -161,23 +166,22 @@ def _cmd_crossover(args) -> int:
             "rate_threshold_mbps": report.rate_threshold,
             "mcs_crossover": report.mcs_crossover,
         }
-    print(json.dumps(payload, indent=2))
+    _print_json(payload)
     return 0
 
 
 def _cmd_validate(args) -> int:
     overrides = load_override_file(args.config) if args.config else None
-    rows = run_sweep(default_grid(), overrides)
+    grid = default_grid()
+    rows = run_sweep(grid, overrides)
+    resolved = {flavor: _resolve_config(flavor, overrides) for flavor in grid.flavors}
     max_rel = 0.0
     max_z = 0.0
     checked = 0
     for index, row in enumerate(rows):
         if not row.feasible:
             continue
-        config = default_config(row.flavor)
-        overhead = DEFAULT_OVERHEAD
-        if overrides:
-            config, overhead = apply_overrides(config, overhead, overrides)
+        config, overhead = resolved[row.flavor]
         scenario = Scenario(row.flavor, row.mcs, row.ber, row.msdu_len)
         plan = AggregationPlan(row.x, row.y_base, row.n_extra)
         exact = throughput_exact(plan, scenario, config, overhead)
@@ -189,17 +193,14 @@ def _cmd_validate(args) -> int:
         if sim.std_error > 0:
             max_z = max(max_z, dev / sim.std_error)
         checked += 1
-    print(
-        json.dumps(
-            {
-                "cycles": args.cycles,
-                "seed": args.seed,
-                "points": checked,
-                "max_relative_deviation": max_rel,
-                "max_z_score": max_z,
-            },
-            indent=2,
-        )
+    _print_json(
+        {
+            "cycles": args.cycles,
+            "seed": args.seed,
+            "points": checked,
+            "max_relative_deviation": max_rel,
+            "max_z_score": max_z,
+        }
     )
     return 0
 

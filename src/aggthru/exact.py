@@ -131,22 +131,51 @@ def _psdu_bits_budget(
     return cand
 
 
+# Relative float slack on a segment's upper bound: the bound is exact in real
+# arithmetic but evaluated in floats, so a segment is skipped only when its
+# bound, widened by this factor, still falls below the best value found.
+_BOUND_SLACK = 1e-9
+
+
 def optimize_exact(
     scenario: Scenario,
     config: ProtocolConfig,
     overhead: OverheadConfig = DEFAULT_OVERHEAD,
     *,
     round_symbols: bool = True,
-    chunk_pairs: int = 2_000_000,
 ) -> ThroughputResult:
-    """Throughput-maximizing plan by exhaustive search.
+    """Throughput-maximizing plan, exact over every balanced plan.
 
-    Searches every MPDU count ``x`` and every total MSDU count ``M`` with
-    the balanced split (``M // x`` per MPDU, ``M % x`` MPDUs carrying one
-    more), i.e. every plan whose per-MPDU counts differ by at most one.
+    A balanced plan has ``x`` MPDUs and ``M >= x`` MSDUs split ``M // x``
+    per MPDU, ``M % x`` MPDUs carrying one more, i.e. per-MPDU counts that
+    differ by at most one.  Ties break toward fewer MPDUs, then fewer MSDUs.
     The per-cycle overhead depends on ``x`` through the block ack (see
-    ``block_ack_duration``).  Ties break toward fewer MPDUs, then fewer
-    MSDUs; the result does not depend on ``chunk_pairs``.
+    ``block_ack_duration``).
+
+    Only a small candidate set is evaluated; it holds the maximum because:
+
+    - Padded MSDUs are 4-byte aligned, so an MPDU of ``y`` MSDUs has
+      ``C(y) = C(0) + s*y`` bits and a plan's PSDU has ``x*C(0) + s*M``
+      bits, linear in ``M``.  The budget therefore caps ``M`` at
+      ``M_max(x)``.
+    - For a fixed ``x``, expected goodput ``G(M)`` is linear between the
+      kinks ``M = x*y`` (each added MSDU lifts one MPDU from ``y`` to
+      ``y + 1`` MSDUs), with slope ``v(y+1) - v(y)``, ``v(y) = y*p(C(y))``.
+    - Cycle airtime ``T(M)`` is non-decreasing in ``M``.  Without symbol
+      rounding it is affine in ``M``, so ``G/T`` is monotone on each
+      segment and the segment ends (kinks and cap) hold the maximum.
+    - With rounding, ``T`` is a step function of the OFDM symbol count.  On a
+      segment of non-positive slope ``G/T`` does not increase, so its left
+      kink holds the maximum; on a segment of positive slope ``G/T`` strictly
+      increases within each symbol count, so the maximum lies at the last
+      ``M`` of a symbol count or at a segment end.  Unrounded airtime never
+      exceeds rounded airtime, so the larger unrounded value at a segment's
+      two ends bounds every rounded value on it; a segment whose bound falls
+      below the best rounded kink or cap value is not searched
+      (``_BOUND_SLACK`` absorbs float error in the bound).
+
+    Every candidate is scored with the same float expression as
+    ``throughput_exact``, and the lowest ``(x, M)`` among the maxima wins.
     """
     rate = phy_rate(config, scenario.mcs)
     msdu = MsduSlot.for_payload(scenario.msdu_len, overhead)
@@ -155,88 +184,81 @@ def optimize_exact(
     except MsduTooLargeError as exc:
         raise NoFeasiblePlanError("scenario admits no transmission") from exc
 
-    om = overhead.mpdu_overhead_bytes
-    leng = msdu.padded_len
     ts = config.symbol_time
     tail = overhead.service_tail_bits
+    per_symbol = ts * rate
     # per-cycle overhead: op_small for x <= BA64_FRAMES, op above
     op = cycle_overhead(config, overhead)
     op_small = cycle_overhead(config, overhead, BA64_FRAMES)
     payload = scenario.msdu_len
-    per_symbol = ts * rate
 
     bit_cap = _psdu_bits_budget(config, rate, overhead, round_symbols)
     if config.max_psdu_bytes is not None:
         bit_cap = min(bit_cap, 8 * config.max_psdu_bytes)
 
-    # per-y tables; index ym+1 exists only so vectorized gathers stay in
-    # bounds (it is always multiplied by a zero count)
-    c_list = [mpdu_bits(y, msdu, overhead) for y in range(ym + 2)]
-    c_table = np.array(c_list, dtype=np.int64)
-    p_table = np.array([success_probability(scenario.ber, c) for c in c_list])
-    v_table = np.arange(ym + 2) * p_table
-
-    x_cap = min(config.max_mpdus, bit_cap // c_list[1]) if bit_cap >= c_list[1] else 0
+    c0 = mpdu_bits(0, msdu, overhead)
+    step = mpdu_bits(1, msdu, overhead) - c0   # bits per MSDU: C(y) = c0 + step*y
+    x_cap = min(config.max_mpdus, bit_cap // (c0 + step))
     if x_cap < 1:
         raise NoFeasiblePlanError("scenario admits no transmission")
+    # no MPDU of a feasible plan holds more MSDUs than fit the budget alone
+    ym = min(ym, (bit_cap - c0) // step)
 
-    xs_all = np.arange(1, x_cap + 1, dtype=np.int64)
-    # M above this bound cannot fit the bit budget (per-MPDU bits are at
-    # least 8*(O_M + y*Len)); the exact mask below settles the rest
-    m_hi = np.minimum(xs_all * ym, (bit_cap // 8 - om * xs_all) // leng)
-    # plans using at most half the budget are strictly dominated by their
-    # doubled copy whenever the doubled MPDU count is still allowed and its
-    # per-cycle overhead is below twice the original one
-    m_lo = np.maximum(xs_all, ((bit_cap // 2 - 24 * xs_all) // 8 - om * xs_all) // leng)
-    op_x = np.where(xs_all <= BA64_FRAMES, op_small, op)
-    op_2x = np.where(2 * xs_all <= BA64_FRAMES, op_small, op)
-    m_lo = np.where((2 * xs_all <= config.max_mpdus) & (op_2x < 2 * op_x), m_lo, xs_all)
-    counts = m_hi - m_lo + 1
+    # v(y) = y * p(C(y)); index ym+1 exists only so gathers stay in bounds
+    # (it is always multiplied by a zero count)
+    p_table = np.array([success_probability(scenario.ber, c0 + step * y) for y in range(ym + 2)])
+    v_table = np.arange(ym + 2) * p_table
 
-    keep = counts > 0
-    xs_all, m_lo, counts = xs_all[keep], m_lo[keep], counts[keep]
-    if xs_all.size == 0:
-        raise NoFeasiblePlanError("scenario admits no transmission")
-    cum = np.cumsum(counts)
+    def symbols(x, m):
+        return np.ceil((c0 * x + step * m + tail) / per_symbol)
 
-    best_thr = -math.inf
-    best_x = best_m = 0
+    def throughput(x, m, rounded):
+        y = m // x
+        n = m - y * x
+        raw = (c0 * x + step * m + tail) / per_symbol
+        den = (np.ceil(raw) if rounded else raw) * ts + np.where(x <= BA64_FRAMES, op_small, op)
+        good = (8.0 * payload) * (n * v_table[y + 1] + (x - n) * v_table[y])
+        return good / den
 
-    idx0 = 0
-    while idx0 < xs_all.size:
-        done = cum[idx0 - 1] if idx0 else 0
-        idx1 = int(np.searchsorted(cum, done + chunk_pairs, side="left")) + 1
-        idx1 = min(idx1, xs_all.size)
+    # per x, the kinks M = x*y for y = 1..M_max//x, then the cap M_max;
+    # consecutive points of one x bound a segment
+    xs = np.arange(1, x_cap + 1, dtype=np.int64)
+    m_max = np.minimum(xs * ym, (bit_cap - c0 * xs) // step)
+    per_x = m_max // xs + 1
+    px = np.repeat(xs, per_x)
+    j = np.arange(1, px.size + 1) - np.repeat(np.cumsum(per_x) - per_x, per_x)
+    pm = np.minimum(px * j, np.repeat(m_max, per_x))
+    cand_x, cand_m, cand_thr = [px], [pm], [throughput(px, pm, round_symbols)]
 
-        counts_s = counts[idx0:idx1]
-        xs_c = np.repeat(xs_all[idx0:idx1], counts_s)
-        starts = np.concatenate(([0], np.cumsum(counts_s[:-1])))
-        offs = np.arange(int(counts_s.sum())) - np.repeat(starts, counts_s)
-        ms = offs + np.repeat(m_lo[idx0:idx1], counts_s)
+    if round_symbols:
+        bound = throughput(px, pm, False)
+        bound = np.maximum(bound[:-1], bound[1:]) * (1.0 + _BOUND_SLACK)
+        sx, lo, hi = px[:-1], pm[:-1], pm[1:]
+        y = lo // sx
+        searched = (
+            (px[1:] == sx) & (hi - lo > 1) & (v_table[y + 1] > v_table[y])
+            & (bound >= cand_thr[0].max())
+        )
+        sx, lo, hi = sx[searched], lo[searched], hi[searched]
+        # one candidate per symbol count s the segment spans: the last M that fits s
+        s_lo = symbols(sx, lo).astype(np.int64)
+        counts = symbols(sx, hi).astype(np.int64) - s_lo
+        rx = np.repeat(sx, counts)
+        s = np.arange(rx.size) - np.repeat(np.cumsum(counts) - counts - s_lo, counts)
+        m = np.floor((s * per_symbol - tail - c0 * rx) / step).astype(np.int64)
+        m += symbols(rx, m + 1) <= s          # settle float error against the
+        m -= symbols(rx, m) > s               # expression the score uses
+        m = np.clip(m, np.repeat(lo, counts), np.repeat(hi, counts) - 1)
+        cand_x.append(rx)
+        cand_m.append(m)
+        cand_thr.append(throughput(rx, m, True))
 
-        y = ms // xs_c
-        n = ms - y * xs_c
-        bits = (xs_c - n) * c_table[y] + n * c_table[y + 1]
-        raw = (bits + tail) / per_symbol
-        symbols = np.ceil(raw) if round_symbols else raw
-        den = symbols * ts
-        small = int(np.searchsorted(xs_c, BA64_FRAMES, side="right"))  # xs_c ascends
-        den[:small] += op_small
-        den[small:] += op
-        good = (8.0 * payload) * (n * v_table[y + 1] + (xs_c - n) * v_table[y])
-        thr = np.where(bits <= bit_cap, good / den, -math.inf)
+    xs_c, ms_c, thr = (np.concatenate(a) for a in (cand_x, cand_m, cand_thr))
+    top = thr == thr.max()
+    best_x = int(xs_c[top].min())
+    best_m = int(ms_c[top & (xs_c == best_x)].min())
 
-        j = int(np.argmax(thr))
-        if thr[j] > best_thr:
-            best_thr = float(thr[j])
-            best_x = int(xs_c[j])
-            best_m = int(ms[j])
-        idx0 = idx1
-
-    if not math.isfinite(best_thr):
-        raise NoFeasiblePlanError("scenario admits no transmission")
-
-    plan = AggregationPlan(best_x, best_m // best_x, best_m - best_x * (best_m // best_x))
+    plan = AggregationPlan(best_x, best_m // best_x, best_m % best_x)
     return throughput_exact(plan, scenario, config, overhead, round_symbols=round_symbols)
 
 

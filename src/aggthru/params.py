@@ -7,6 +7,7 @@ airtime arithmetic free of conversion factors.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, fields, replace
 from typing import Mapping, Optional
 
@@ -31,6 +32,24 @@ class ProtocolFlavor(enum.Enum):
                 f"unknown protocol flavor {name!r}; expected one of "
                 f"{', '.join(f.value for f in cls)}"
             ) from None
+
+
+# Numeric fields by kind; each can be overridden by name (see apply_overrides).
+_PROTOCOL_FLOAT_FIELDS = (
+    "symbol_time", "preamble", "guard_interval", "ppdu_time_limit", "back_duration", "back64_duration",
+)
+_PROTOCOL_INT_FIELDS = ("spatial_streams", "max_mpdus", "max_mpdu_bytes")
+_OVERHEAD_FLOAT_FIELDS = ("aifs", "backoff", "sifs")
+_OVERHEAD_INT_FIELDS = ("mpdu_delimiter", "mac_header", "fcs", "msdu_subheader", "service_tail_bits")
+
+
+def _check_finite_nonnegative(obj, names) -> None:
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0")
 
 
 # Frames one block ack with a 64-bit bitmap acknowledges.
@@ -61,11 +80,13 @@ class ProtocolConfig:
     def __post_init__(self):
         if not self.mcs_rates:
             raise ValueError("mcs_rates must not be empty")
+        if not all(math.isfinite(r) and r > 0 for r in self.mcs_rates):
+            raise ValueError("mcs_rates must be finite and > 0")
         if any(b <= a for a, b in zip(self.mcs_rates, self.mcs_rates[1:])):
             raise ValueError("mcs_rates must be strictly increasing")
-        for name in _PROTOCOL_FLOAT_FIELDS:
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        _check_finite_nonnegative(self, _PROTOCOL_FLOAT_FIELDS)
+        if self.symbol_time <= 0:
+            raise ValueError("symbol_time must be > 0")
         if self.max_mpdus < 1 or self.max_mpdu_bytes < 1:
             raise ValueError("max_mpdus and max_mpdu_bytes must be >= 1")
 
@@ -105,12 +126,7 @@ class OverheadConfig:
     service_tail_bits: int = 22   # SERVICE + TAIL added to every PPDU
 
     def __post_init__(self):
-        for name in ("aifs", "backoff", "sifs"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        for name in ("mpdu_delimiter", "mac_header", "fcs", "msdu_subheader", "service_tail_bits"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        _check_finite_nonnegative(self, _OVERHEAD_FLOAT_FIELDS + _OVERHEAD_INT_FIELDS)
 
     @property
     def mpdu_overhead_bytes(self) -> int:
@@ -236,14 +252,6 @@ class Scenario:
 # ---------------------------------------------------------------------------
 # Flat key=value configuration overrides (see README for the file format).
 
-_PROTOCOL_FLOAT_FIELDS = (
-    "symbol_time", "preamble", "guard_interval", "ppdu_time_limit", "back_duration", "back64_duration",
-)
-_PROTOCOL_INT_FIELDS = ("spatial_streams", "max_mpdus", "max_mpdu_bytes")
-_OVERHEAD_FLOAT_FIELDS = ("aifs", "backoff", "sifs")
-_OVERHEAD_INT_FIELDS = ("mpdu_delimiter", "mac_header", "fcs", "msdu_subheader", "service_tail_bits")
-
-
 def parse_override_text(text: str) -> dict:
     """Parse `key = value` lines; '#' starts a comment, blank lines ignored."""
     out: dict = {}
@@ -268,7 +276,7 @@ def _coerce(key: str, value, kind):
         return kind(value)
     try:
         return kind(float(value)) if kind is int else kind(value)
-    except ValueError:
+    except (ValueError, OverflowError):
         raise ValueError(f"invalid value for {key}: {value!r}") from None
 
 

@@ -7,7 +7,6 @@ fixed column order, floats at 6 significant digits, '\\n' line endings.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -137,6 +136,10 @@ def run_sweep(
                     )
     if workers <= 1:
         return [_evaluate_point(t) for t in tasks]
+    # imported here: the pool pulls in multiprocessing, which a serial sweep
+    # and every plain import of the package would otherwise pay for
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_evaluate_point, tasks))
 
@@ -164,7 +167,7 @@ def rows_to_json(rows) -> str:
         item = {col: getattr(row, col) for col in CSV_COLUMNS}
         item["flavor"] = row.flavor.value
         out.append(item)
-    return json.dumps(out, indent=2) + "\n"
+    return json.dumps(out, indent=2, allow_nan=False) + "\n"
 
 
 def write_rows(rows, path, fmt: str = "csv") -> None:

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -94,6 +95,44 @@ def test_crossover_needs_exactly_one_mode(capsys):
     assert "exactly one" in err
     code, _, _ = run_cli(capsys, "crossover", "--ber", "1e-7", "--reliable")
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "override,field",
+    [
+        ("symbol_time = 0", "symbol_time"),
+        ("mcs_rates = -5, 10", "mcs_rates"),
+        ("ppdu_time_limit = nan", "ppdu_time_limit"),
+        ("backoff = inf", "backoff"),
+    ],
+)
+def test_bad_override_is_a_one_line_error(capsys, tmp_path, override, field):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(override + "\n", encoding="utf-8")
+    code, out, err = run_cli(
+        capsys,
+        "optimize", "--flavor", "ax256", "--mcs", "1", "--ber", "1e-6", "--msdu-len", "64",
+        "--config", str(cfg),
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("aggthru: error: ") and field in err
+    assert err.count("\n") == 1
+
+
+def test_huge_mpdu_byte_cap_evaluates_quickly(capsys, tmp_path):
+    # the per-y tables stop at the MSDU count the PPDU time budget can carry
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("max_mpdu_bytes = 1e12\n", encoding="utf-8")
+    start = time.perf_counter()
+    code, out, _ = run_cli(
+        capsys,
+        "optimize", "--flavor", "ax256", "--mcs", "1", "--ber", "1e-6", "--msdu-len", "64",
+        "--config", str(cfg),
+    )
+    assert time.perf_counter() - start < 5.0
+    assert code == 0
+    assert json.loads(out)["feasible"] is True
 
 
 def test_usage_error_exits_one(capsys):

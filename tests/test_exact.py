@@ -3,12 +3,14 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aggthru import (
     DEFAULT_OVERHEAD,
     AggregationPlan,
     InfeasiblePlanError,
     MsduSlot,
+    MsduTooLargeError,
     NoFeasiblePlanError,
     OverheadConfig,
     ProtocolFlavor,
@@ -70,10 +72,16 @@ def test_throughput_strictly_decreasing_in_ber():
         previous = thr
 
 
-def _brute_force(scenario, config, overhead=DEFAULT_OVERHEAD):
-    """Scalar reference search over every balanced plan, same tie-breaks."""
+def _brute_force(scenario, config, overhead=DEFAULT_OVERHEAD, *, round_symbols=True):
+    """Scalar reference search over every balanced plan, same tie-breaks.
+
+    Returns (-inf, None) when no plan is feasible.
+    """
     slot = MsduSlot.for_payload(scenario.msdu_len, overhead)
-    ym = y_max(slot, overhead, config)
+    try:
+        ym = y_max(slot, overhead, config)
+    except MsduTooLargeError:
+        return (-math.inf, None)
     best = (-math.inf, None)
     for x in range(1, config.max_mpdus + 1):
         for y in range(1, ym + 1):
@@ -81,9 +89,11 @@ def _brute_force(scenario, config, overhead=DEFAULT_OVERHEAD):
                 if n and y + 1 > ym:
                     break
                 plan = AggregationPlan(x, y, n)
-                if not is_feasible(plan, scenario, config, overhead).ok:
+                if not is_feasible(plan, scenario, config, overhead, round_symbols=round_symbols).ok:
                     break  # airtime grows with n
-                thr = throughput_exact(plan, scenario, config, overhead).throughput
+                thr = throughput_exact(
+                    plan, scenario, config, overhead, round_symbols=round_symbols
+                ).throughput
                 if thr > best[0]:
                     best = (thr, plan)
     return best
@@ -201,12 +211,54 @@ def test_optimizer_dominates_random_plans(flavor, mcs, ber, msdu_len):
         checked += 1
 
 
-def test_optimizer_chunking_invariance():
-    sc = Scenario(ProtocolFlavor.AX256, 7, 1e-5, 1500)
-    a = optimize_exact(sc, AX256)
-    b = optimize_exact(sc, AX256, chunk_pairs=10_000)
-    assert a.plan == b.plan
-    assert a.throughput == b.throughput
+@settings(max_examples=300, deadline=None)
+@given(
+    flavor=st.sampled_from(list(ProtocolFlavor)),
+    mcs=st.integers(min_value=0, max_value=11),
+    ber=st.one_of(st.just(0.0), st.floats(min_value=1e-7, max_value=1e-3)),
+    msdu_len=st.integers(min_value=1, max_value=2304),
+    ppdu_time_limit=st.floats(min_value=40.0, max_value=5484.0),
+    y_cap=st.integers(min_value=0, max_value=40),
+    byte_slack=st.integers(min_value=0, max_value=3),
+    max_mpdus=st.integers(min_value=1, max_value=8),
+    round_symbols=st.booleans(),
+    overhead=st.sampled_from([DEFAULT_OVERHEAD, ZERO_CYCLE_OVERHEAD]),
+)
+def test_optimizer_matches_brute_force_property(
+    flavor, mcs, ber, msdu_len, ppdu_time_limit, y_cap, byte_slack, max_mpdus, round_symbols, overhead
+):
+    # the MPDU byte cap is drawn as a per-MPDU MSDU count (0 = the MSDU does
+    # not fit), which bounds the brute-force search to 36 * 40 plans
+    slot = MsduSlot.for_payload(msdu_len, overhead)
+    config = replace(
+        default_config(flavor),
+        ppdu_time_limit=ppdu_time_limit,
+        max_mpdu_bytes=overhead.mpdu_overhead_bytes + y_cap * slot.padded_len + byte_slack,
+        max_mpdus=max_mpdus,
+    )
+    scenario = Scenario(flavor, mcs % len(config.mcs_rates), ber, msdu_len)
+    expected_thr, expected_plan = _brute_force(scenario, config, overhead, round_symbols=round_symbols)
+    if expected_plan is None:
+        with pytest.raises(NoFeasiblePlanError):
+            optimize_exact(scenario, config, overhead, round_symbols=round_symbols)
+        return
+    res = optimize_exact(scenario, config, overhead, round_symbols=round_symbols)
+    assert res.plan == expected_plan
+    assert res.throughput == expected_thr
+
+
+@pytest.mark.parametrize(
+    "ber,plan",
+    [
+        (1e-7, AggregationPlan(471, 84, 233)),
+        (1e-6, AggregationPlan(1511, 26, 43)),
+        (1e-5, AggregationPlan(4731, 8, 32)),
+    ],
+)
+def test_optimizer_lifted_window_optima(ber, plan):
+    # the window criterion 6 compares with the closed form
+    lifted = replace(AX256, max_mpdus=10**6, back64_duration=AX256.back_duration)
+    assert optimize_exact(Scenario(ProtocolFlavor.AX256, 11, ber, 64), lifted).plan == plan
 
 
 def test_optimizer_no_feasible_plan():
