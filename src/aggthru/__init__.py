@@ -23,11 +23,13 @@ from .params import (
     load_override_file,
     parse_override_text,
     phy_rate,
+    resolve_config,
 )
 from .geometry import (
     AggregationPlan,
     AirtimeBreakdown,
     Feasibility,
+    Link,
     MsduSlot,
     MsduTooLargeError,
     airtime,
@@ -35,7 +37,7 @@ from .geometry import (
     mpdu_bits,
     mpdu_bytes,
     padded_msdu_len,
-    plan_psdu_bits,
+    success_probability,
     y_max,
 )
 from .exact import (
@@ -43,10 +45,8 @@ from .exact import (
     MonteCarloResult,
     NoFeasiblePlanError,
     ThroughputResult,
-    monte_carlo_throughput,
     optimize_exact,
     simulate_throughput,
-    success_probability,
     throughput_exact,
 )
 from .approx import (
@@ -67,12 +67,10 @@ from .report import (
     ImprovementTable,
     SweepGrid,
     SweepRow,
-    default_grid,
     improvement,
     rows_to_csv,
     rows_to_json,
     run_sweep,
-    write_rows,
 )
 
 __version__ = "0.1.0"

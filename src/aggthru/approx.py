@@ -12,8 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .exact import success_probability
-from .geometry import MsduSlot, padded_msdu_len, y_max
+from .geometry import MsduSlot, mpdu_bytes, padded_msdu_len, success_probability, y_max
 from .params import (
     DEFAULT_OVERHEAD,
     OverheadConfig,
@@ -162,10 +161,9 @@ def crossover_rate_reliable(
     and is independent of the MSDU size.
     """
     msdu = MsduSlot.for_payload(msdu_len, overhead)
-    ym = y_max(msdu, overhead, config)
-    om = overhead.mpdu_overhead_bytes
+    full_mpdu = mpdu_bytes(y_max(msdu, overhead, config), msdu, overhead)
     span = config.ppdu_time_limit - config.preamble
-    discrete = 8.0 * window * (om + ym * msdu.padded_len) / span
+    discrete = 8.0 * window * full_mpdu / span
     continuous = 8.0 * window * config.max_mpdu_bytes / span
     return ReliableCrossover(discrete, continuous)
 

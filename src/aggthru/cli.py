@@ -7,6 +7,7 @@ JSON, not as process failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -18,21 +19,8 @@ from .approx import (
 )
 from .exact import NoFeasiblePlanError, optimize_exact, simulate_throughput, throughput_exact
 from .geometry import AggregationPlan
-from .params import (
-    DEFAULT_OVERHEAD,
-    ProtocolFlavor,
-    Scenario,
-    apply_overrides,
-    default_config,
-    load_override_file,
-)
-from .report import (
-    SweepGrid,
-    default_grid,
-    rows_to_csv,
-    rows_to_json,
-    run_sweep,
-)
+from .params import ProtocolFlavor, Scenario, load_override_file, resolve_config
+from .report import SweepGrid, rows_to_csv, rows_to_json, run_sweep
 
 
 class _Parser(argparse.ArgumentParser):
@@ -41,18 +29,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _resolve_config(flavor: ProtocolFlavor, overrides):
-    config = default_config(flavor)
-    overhead = DEFAULT_OVERHEAD
-    if overrides:
-        config, overhead = apply_overrides(config, overhead, overrides)
-    return config, overhead
-
-
-def _load_config(flavor: ProtocolFlavor, config_path):
-    return _resolve_config(flavor, load_override_file(config_path) if config_path else None)
 
 
 def _print_json(payload) -> None:
@@ -84,9 +60,9 @@ def _result_payload(scenario, res) -> dict:
     }
 
 
-def _cmd_optimize(args) -> int:
+def _cmd_optimize(args, overrides) -> int:
     flavor = ProtocolFlavor.parse(args.flavor)
-    config, overhead = _load_config(flavor, args.config)
+    config, overhead = resolve_config(flavor, overrides)
     scenario = Scenario(flavor=flavor, mcs=args.mcs, ber=args.ber, msdu_len=args.msdu_len)
     try:
         res = optimize_exact(scenario, config, overhead)
@@ -114,9 +90,8 @@ def _parse_grid_file(path) -> SweepGrid:
     return SweepGrid(**kwargs)
 
 
-def _cmd_sweep(args) -> int:
-    grid = _parse_grid_file(args.grid_file) if args.grid_file else default_grid()
-    overrides = load_override_file(args.config) if args.config else None
+def _cmd_sweep(args, overrides) -> int:
+    grid = _parse_grid_file(args.grid_file) if args.grid_file else SweepGrid()
     rows = run_sweep(grid, overrides, workers=args.workers)
     text = rows_to_csv(rows) if args.format == "csv" else rows_to_json(rows)
     if args.out:
@@ -130,8 +105,8 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_xopt(args) -> int:
-    config, overhead = _load_config(ProtocolFlavor.AX256, args.config)
+def _cmd_xopt(args, overrides) -> int:
+    config, overhead = resolve_config(ProtocolFlavor.AX256, overrides)
     om_bytes = args.om_bytes if args.om_bytes is not None else overhead.mpdu_overhead_bytes
     coefficient = x_opt_coefficient(
         args.ber, 8 * om_bytes, config.ppdu_time_limit, config.preamble
@@ -148,8 +123,8 @@ def _cmd_xopt(args) -> int:
     return 0
 
 
-def _cmd_crossover(args) -> int:
-    config, overhead = _load_config(ProtocolFlavor.AX256, args.config)
+def _cmd_crossover(args, overrides) -> int:
+    config, overhead = resolve_config(ProtocolFlavor.AX256, overrides)
     if args.reliable:
         rates = crossover_rate_reliable(args.msdu_len, overhead, config)
         payload = {
@@ -170,11 +145,10 @@ def _cmd_crossover(args) -> int:
     return 0
 
 
-def _cmd_validate(args) -> int:
-    overrides = load_override_file(args.config) if args.config else None
-    grid = default_grid()
+def _cmd_validate(args, overrides) -> int:
+    grid = SweepGrid()
     rows = run_sweep(grid, overrides)
-    resolved = {flavor: _resolve_config(flavor, overrides) for flavor in grid.flavors}
+    resolved = {flavor: resolve_config(flavor, overrides) for flavor in grid.flavors}
     max_rel = 0.0
     max_z = 0.0
     checked = 0
@@ -205,7 +179,9 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser; built once per process and shared."""
     parser = _Parser(prog="aggthru", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -260,7 +236,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_args(args)
-        return args.func(args)
+        overrides = load_override_file(args.config) if args.config else None
+        return args.func(args, overrides)
     except (ValueError, OSError) as exc:
         print(f"aggthru: error: {exc}", file=sys.stderr)
         return 1

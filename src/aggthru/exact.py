@@ -2,7 +2,7 @@
 
 The throughput of a plan is the expected MSDU payload delivered per cycle
 divided by the cycle airtime; an MPDU of C bits survives the channel with
-probability (1 - BER)^C.
+probability (1 - BER)^C.  Both come from one ``geometry.Link`` per scenario.
 """
 from __future__ import annotations
 
@@ -15,22 +15,10 @@ from .geometry import (
     AggregationPlan,
     AirtimeBreakdown,
     Feasibility,
-    MsduSlot,
-    MsduTooLargeError,
-    airtime,
-    is_feasible,
-    mpdu_bits,
-    y_max,
+    Link,
+    success_probability,  # noqa: F401  (part of this module's interface)
 )
-from .params import (
-    BA64_FRAMES,
-    DEFAULT_OVERHEAD,
-    OverheadConfig,
-    ProtocolConfig,
-    Scenario,
-    cycle_overhead,
-    phy_rate,
-)
+from .params import DEFAULT_OVERHEAD, OverheadConfig, ProtocolConfig, Scenario
 
 
 class InfeasiblePlanError(ValueError):
@@ -43,13 +31,6 @@ class InfeasiblePlanError(ValueError):
 
 class NoFeasiblePlanError(ValueError):
     """The scenario admits no transmission at all."""
-
-
-def success_probability(ber: float, bits) -> float:
-    """Probability that ``bits`` consecutive bits all arrive intact."""
-    if ber == 0:
-        return 1.0
-    return math.exp(bits * math.log1p(-ber))
 
 
 @dataclass(frozen=True)
@@ -69,66 +50,13 @@ def throughput_exact(
     round_symbols: bool = True,
 ) -> ThroughputResult:
     """Expected throughput of a feasible plan [Mbps]."""
-    verdict = is_feasible(plan, scenario, config, overhead, round_symbols=round_symbols)
+    link = Link.of(scenario, config, overhead, round_symbols=round_symbols)
+    verdict = link.verdict(plan)
     if not verdict.ok:
         raise InfeasiblePlanError(verdict)
-    msdu = MsduSlot.for_payload(scenario.msdu_len, overhead)
-    n = plan.n_extra
-    c_lo = mpdu_bits(plan.y_base, msdu, overhead)
-    v_lo = plan.y_base * success_probability(scenario.ber, c_lo)
-    if n:
-        c_hi = mpdu_bits(plan.y_base + 1, msdu, overhead)
-        v_hi = (plan.y_base + 1) * success_probability(scenario.ber, c_hi)
-    else:
-        v_hi = 0.0
-    good = (8.0 * scenario.msdu_len) * (n * v_hi + (plan.x - n) * v_lo)
-    air = airtime(plan, scenario, config, overhead, round_symbols=round_symbols)
+    air = link.airtime(plan)
+    good = link.goodput(plan.x, plan.total_msdus)
     return ThroughputResult(good / air.cycle_time, plan, air, good)
-
-
-def _symbol_cap(config: ProtocolConfig) -> int:
-    """Largest whole-symbol count whose PPDU still meets the time limit."""
-    span = config.ppdu_time_limit - config.preamble
-    cap = int(span // config.symbol_time)
-    # settle boundary float effects against the same expression airtime() uses
-    while config.preamble + (cap + 1) * config.symbol_time <= config.ppdu_time_limit:
-        cap += 1
-    while cap > 0 and config.preamble + cap * config.symbol_time > config.ppdu_time_limit:
-        cap -= 1
-    return cap
-
-
-def _psdu_bits_budget(
-    config: ProtocolConfig,
-    rate: float,
-    overhead: OverheadConfig,
-    round_symbols: bool,
-) -> int:
-    """Largest PSDU bit count that passes the PPDU time check."""
-    tail = overhead.service_tail_bits
-    per_symbol = config.symbol_time * rate
-
-    if round_symbols:
-        s_cap = _symbol_cap(config)
-        if s_cap < 1:
-            return -1
-        cand = int(s_cap * per_symbol) - tail
-
-        def fits(bits: int) -> bool:
-            return math.ceil((bits + tail) / per_symbol) <= s_cap
-
-    else:
-        cand = int(rate * (config.ppdu_time_limit - config.preamble)) - tail
-
-        def fits(bits: int) -> bool:
-            raw = (bits + tail) / per_symbol
-            return config.preamble + raw * config.symbol_time <= config.ppdu_time_limit
-
-    while cand >= 0 and not fits(cand):
-        cand -= 1
-    while fits(cand + 1):
-        cand += 1
-    return cand
 
 
 # Relative float slack on a segment's upper bound: the bound is exact in real
@@ -174,51 +102,22 @@ def optimize_exact(
       below the best rounded kink or cap value is not searched
       (``_BOUND_SLACK`` absorbs float error in the bound).
 
-    Every candidate is scored with the same float expression as
-    ``throughput_exact``, and the lowest ``(x, M)`` among the maxima wins.
+    Every candidate is scored with ``Link.goodput / Link.cycle_time``, the
+    expressions ``throughput_exact`` uses, under the ``Link``'s ``y_cap`` and
+    ``bit_cap``, the limits ``is_feasible`` checks; the lowest ``(x, M)``
+    among the maxima wins.
     """
-    rate = phy_rate(config, scenario.mcs)
-    msdu = MsduSlot.for_payload(scenario.msdu_len, overhead)
-    try:
-        ym = y_max(msdu, overhead, config)
-    except MsduTooLargeError as exc:
-        raise NoFeasiblePlanError("scenario admits no transmission") from exc
-
-    ts = config.symbol_time
-    tail = overhead.service_tail_bits
-    per_symbol = ts * rate
-    # per-cycle overhead: op_small for x <= BA64_FRAMES, op above
-    op = cycle_overhead(config, overhead)
-    op_small = cycle_overhead(config, overhead, BA64_FRAMES)
-    payload = scenario.msdu_len
-
-    bit_cap = _psdu_bits_budget(config, rate, overhead, round_symbols)
-    if config.max_psdu_bytes is not None:
-        bit_cap = min(bit_cap, 8 * config.max_psdu_bytes)
-
-    c0 = mpdu_bits(0, msdu, overhead)
-    step = mpdu_bits(1, msdu, overhead) - c0   # bits per MSDU: C(y) = c0 + step*y
+    link = Link.of(scenario, config, overhead, round_symbols=round_symbols)
+    c0, step, bit_cap = link.c0, link.step, link.bit_cap
     x_cap = min(config.max_mpdus, bit_cap // (c0 + step))
-    if x_cap < 1:
-        raise NoFeasiblePlanError("scenario admits no transmission")
     # no MPDU of a feasible plan holds more MSDUs than fit the budget alone
-    ym = min(ym, (bit_cap - c0) // step)
+    ym = min(link.y_cap, (bit_cap - c0) // step)
+    if min(x_cap, ym) < 1:
+        raise NoFeasiblePlanError("scenario admits no transmission")
 
-    # v(y) = y * p(C(y)); index ym+1 exists only so gathers stay in bounds
+    # v(y) for y = 0..ym+1; index ym+1 exists only so lookups stay in bounds
     # (it is always multiplied by a zero count)
-    p_table = np.array([success_probability(scenario.ber, c0 + step * y) for y in range(ym + 2)])
-    v_table = np.arange(ym + 2) * p_table
-
-    def symbols(x, m):
-        return np.ceil((c0 * x + step * m + tail) / per_symbol)
-
-    def throughput(x, m, rounded):
-        y = m // x
-        n = m - y * x
-        raw = (c0 * x + step * m + tail) / per_symbol
-        den = (np.ceil(raw) if rounded else raw) * ts + np.where(x <= BA64_FRAMES, op_small, op)
-        good = (8.0 * payload) * (n * v_table[y + 1] + (x - n) * v_table[y])
-        return good / den
+    v = np.array([link.v(y) for y in range(ym + 2)]).take
 
     # per x, the kinks M = x*y for y = 1..M_max//x, then the cap M_max;
     # consecutive points of one x bound a segment
@@ -228,36 +127,37 @@ def optimize_exact(
     px = np.repeat(xs, per_x)
     j = np.arange(1, px.size + 1) - np.repeat(np.cumsum(per_x) - per_x, per_x)
     pm = np.minimum(px * j, np.repeat(m_max, per_x))
-    cand_x, cand_m, cand_thr = [px], [pm], [throughput(px, pm, round_symbols)]
+    good = link.goodput(px, pm, v)
+    cand_x, cand_m, cand_thr = [px], [pm], [good / link.cycle_time(px, pm)]
 
     if round_symbols:
-        bound = throughput(px, pm, False)
+        bound = good / link.cycle_time(px, pm, rounded=False)
         bound = np.maximum(bound[:-1], bound[1:]) * (1.0 + _BOUND_SLACK)
         sx, lo, hi = px[:-1], pm[:-1], pm[1:]
         y = lo // sx
         searched = (
-            (px[1:] == sx) & (hi - lo > 1) & (v_table[y + 1] > v_table[y])
+            (px[1:] == sx) & (hi - lo > 1) & (v(y + 1) > v(y))
             & (bound >= cand_thr[0].max())
         )
         sx, lo, hi = sx[searched], lo[searched], hi[searched]
         # one candidate per symbol count s the segment spans: the last M that fits s
-        s_lo = symbols(sx, lo).astype(np.int64)
-        counts = symbols(sx, hi).astype(np.int64) - s_lo
+        s_lo = link.symbols(link.psdu_bits(sx, lo)).astype(np.int64)
+        counts = link.symbols(link.psdu_bits(sx, hi)).astype(np.int64) - s_lo
         rx = np.repeat(sx, counts)
         s = np.arange(rx.size) - np.repeat(np.cumsum(counts) - counts - s_lo, counts)
-        m = np.floor((s * per_symbol - tail - c0 * rx) / step).astype(np.int64)
-        m += symbols(rx, m + 1) <= s          # settle float error against the
-        m -= symbols(rx, m) > s               # expression the score uses
+        m = np.floor((s * link.per_symbol - link.tail_bits - c0 * rx) / step).astype(np.int64)
+        # settle float error against the expression the score uses
+        m += link.symbols(link.psdu_bits(rx, m + 1)) <= s
+        m -= link.symbols(link.psdu_bits(rx, m)) > s
         m = np.clip(m, np.repeat(lo, counts), np.repeat(hi, counts) - 1)
         cand_x.append(rx)
         cand_m.append(m)
-        cand_thr.append(throughput(rx, m, True))
+        cand_thr.append(link.goodput(rx, m, v) / link.cycle_time(rx, m))
 
     xs_c, ms_c, thr = (np.concatenate(a) for a in (cand_x, cand_m, cand_thr))
     top = thr == thr.max()
     best_x = int(xs_c[top].min())
     best_m = int(ms_c[top & (xs_c == best_x)].min())
-
     plan = AggregationPlan(best_x, best_m // best_x, best_m % best_x)
     return throughput_exact(plan, scenario, config, overhead, round_symbols=round_symbols)
 
@@ -287,35 +187,19 @@ def simulate_throughput(
     """
     if cycles < 1:
         raise ValueError("cycles must be >= 1")
-    msdu = MsduSlot.for_payload(scenario.msdu_len, overhead)
-    air = airtime(plan, scenario, config, overhead)
+    link = Link.of(scenario, config, overhead)
+    cycle_time = link.cycle_time(plan.x, plan.total_msdus)
     rng = np.random.default_rng(seed)
 
     delivered = np.zeros(cycles, dtype=np.int64)
     for y, count in plan.mpdu_groups():
-        p = success_probability(scenario.ber, mpdu_bits(y, msdu, overhead))
-        successes = rng.binomial(count, p, size=cycles)
+        successes = rng.binomial(count, link.p(y), size=cycles)
         delivered += successes * (8 * scenario.msdu_len * y)
 
     mean_bits = delivered.mean()
-    thr = mean_bits / air.cycle_time
+    thr = mean_bits / cycle_time
     if cycles > 1:
-        se = delivered.std(ddof=1) / math.sqrt(cycles) / air.cycle_time
+        se = delivered.std(ddof=1) / math.sqrt(cycles) / cycle_time
     else:
         se = 0.0
     return MonteCarloResult(float(thr), float(se), cycles, seed)
-
-
-def monte_carlo_throughput(
-    plan: AggregationPlan,
-    scenario: Scenario,
-    config: ProtocolConfig,
-    overhead: OverheadConfig = DEFAULT_OVERHEAD,
-    *,
-    cycles: int,
-    seed: int,
-) -> float:
-    """Simulated throughput in Mbps; see ``simulate_throughput``."""
-    return simulate_throughput(
-        plan, scenario, config, overhead, cycles=cycles, seed=seed
-    ).throughput

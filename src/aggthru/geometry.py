@@ -1,17 +1,23 @@
-"""Frame sizing and airtime arithmetic for two-level A-MPDU aggregation.
+"""Frame sizing, airtime arithmetic and limit checks for two-level A-MPDU aggregation.
 
 An A-MPDU carries ``x`` MPDUs; MPDU ``i`` carries ``y_i`` MSDUs.  Each MSDU
 is prefixed by a subheader and padded to a 4-byte boundary, each MPDU adds
 delimiter + MAC header + FCS and is itself padded to 4 bytes, and the whole
-PSDU is sent as whole OFDM symbols after a fixed preamble.
+PSDU is sent as whole OFDM symbols after a fixed preamble.  A ``Link`` holds
+everything a plan's cost depends on for one scenario; the kernel, the
+airtime, the limit checks and the optimizer all use it.
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .params import (
+    BA64_FRAMES,
     DEFAULT_OVERHEAD,
     OverheadConfig,
     ProtocolConfig,
@@ -23,6 +29,13 @@ from .params import (
 
 class MsduTooLargeError(ValueError):
     """MSDU does not fit in one MPDU."""
+
+
+def success_probability(ber: float, bits) -> float:
+    """Probability that ``bits`` consecutive bits all arrive intact."""
+    if ber == 0:
+        return 1.0
+    return math.exp(bits * math.log1p(-ber))
 
 
 def padded_msdu_len(payload_len: int, overhead: OverheadConfig = DEFAULT_OVERHEAD) -> int:
@@ -57,8 +70,13 @@ def mpdu_bits(y: int, msdu: MsduSlot, overhead: OverheadConfig = DEFAULT_OVERHEA
 
 
 def y_max(msdu: MsduSlot, overhead: OverheadConfig, config: ProtocolConfig) -> int:
-    """Largest MSDU count that keeps one MPDU within the MPDU byte cap."""
-    budget = config.max_mpdu_bytes - overhead.mpdu_overhead_bytes
+    """Largest MSDU count that keeps one MPDU within the MPDU byte cap.
+
+    The padded MSDUs are 4-byte aligned, so ``mpdu_bytes(y)`` is
+    ``mpdu_bytes(0) + y * padded_len``: the aligned empty MPDU, not the raw
+    per-MPDU overhead, is what the MSDUs add to.
+    """
+    budget = config.max_mpdu_bytes - mpdu_bytes(0, msdu, overhead)
     if msdu.padded_len > budget:
         raise MsduTooLargeError(
             f"MSDU does not fit in one MPDU: {msdu.padded_len} padded bytes, "
@@ -127,20 +145,154 @@ class Feasibility(enum.Enum):
         return self is Feasibility.OK
 
 
-def _check_flavor(scenario: Scenario, config: ProtocolConfig) -> None:
-    if scenario.flavor is not config.flavor:
-        raise ValueError(
-            f"scenario flavor {scenario.flavor.value} does not match "
-            f"config flavor {config.flavor.value}"
+@dataclass(frozen=True)
+class Link:
+    """Everything a plan's cost depends on, for one scenario and configuration.
+
+    Padded MSDUs are 4-byte aligned, so an MPDU of ``y`` MSDUs has
+    ``C(y) = c0 + step*y`` bits and a balanced plan of ``x`` MPDUs and
+    ``m`` MSDUs a PSDU of ``c0*x + step*m`` bits.  ``psdu_bits``,
+    ``cycle_time`` and ``goodput`` are the only copy of the cycle model;
+    they take ints or numpy arrays alike.  ``verdict`` checks a plan against
+    ``y_cap`` and ``within_time_limit``; the optimizer searches under
+    ``y_cap`` and ``bit_cap``, the largest PSDU that passes the same checks.
+    Build one with ``Link.of``.
+    """
+
+    config: ProtocolConfig
+    round_symbols: bool    # whole OFDM symbols, or the continuous approximation
+    per_symbol: float      # bits per OFDM symbol
+    tail_bits: int         # SERVICE + TAIL bits added to every PSDU
+    c0: int                # bits of an MPDU without MSDUs
+    step: int              # bits per MSDU
+    y_cap: int             # most MSDUs one MPDU may carry (< 1: the MSDU does not fit)
+    overhead_ba64: float   # per-cycle overhead [us] for x <= BA64_FRAMES
+    overhead_full: float   # per-cycle overhead [us] for x > BA64_FRAMES
+    payload_bits: float    # MSDU payload [bits]
+    ber: float
+
+    @classmethod
+    def of(
+        cls,
+        scenario: Scenario,
+        config: ProtocolConfig,
+        overhead: OverheadConfig = DEFAULT_OVERHEAD,
+        *,
+        round_symbols: bool = True,
+    ) -> "Link":
+        """The link of ``scenario`` under ``config``, whose flavor it must share."""
+        if scenario.flavor is not config.flavor:
+            raise ValueError(
+                f"scenario flavor {scenario.flavor.value} does not match "
+                f"config flavor {config.flavor.value}"
+            )
+        per_symbol = config.symbol_time * phy_rate(config, scenario.mcs)
+        msdu = MsduSlot.for_payload(scenario.msdu_len, overhead)
+        try:
+            y_cap = y_max(msdu, overhead, config)
+        except MsduTooLargeError:
+            y_cap = 0
+        return cls(
+            config=config,
+            round_symbols=round_symbols,
+            per_symbol=per_symbol,
+            tail_bits=overhead.service_tail_bits,
+            c0=mpdu_bits(0, msdu, overhead),
+            step=8 * msdu.padded_len,
+            y_cap=y_cap,
+            overhead_ba64=cycle_overhead(config, overhead, BA64_FRAMES),
+            overhead_full=cycle_overhead(config, overhead),
+            payload_bits=8.0 * scenario.msdu_len,
+            ber=scenario.ber,
         )
 
+    def within_time_limit(self, bits) -> bool:
+        """Whether the PPDU of a ``bits``-bit PSDU meets ``ppdu_time_limit``."""
+        cfg = self.config
+        return cfg.preamble + self.symbols(bits) * cfg.symbol_time <= cfg.ppdu_time_limit
 
-def plan_psdu_bits(plan: AggregationPlan, msdu: MsduSlot, overhead: OverheadConfig = DEFAULT_OVERHEAD) -> int:
-    """Total PSDU size of a plan [bits]."""
-    bits = (plan.x - plan.n_extra) * mpdu_bits(plan.y_base, msdu, overhead)
-    if plan.n_extra:
-        bits += plan.n_extra * mpdu_bits(plan.y_base + 1, msdu, overhead)
-    return bits
+    @cached_property
+    def bit_cap(self) -> int:
+        """Largest PSDU [bits] within ``max_psdu_bytes`` and the time limit (< 0: none)."""
+        # within_time_limit is monotone in bits: bisect it, with lo within the
+        # limit (-1 stands for no PSDU at all) and hi beyond it
+        cfg = self.config
+        span = cfg.ppdu_time_limit - cfg.preamble
+        lo, hi = -1, 1 + max(0, int(self.per_symbol / cfg.symbol_time * span))
+        while self.within_time_limit(hi):
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if self.within_time_limit(mid):
+                lo = mid
+            else:
+                hi = mid
+        if cfg.max_psdu_bytes is not None:
+            lo = min(lo, 8 * cfg.max_psdu_bytes)
+        return lo
+
+    def p(self, y: int) -> float:
+        """Probability that an MPDU of ``y`` MSDUs arrives intact."""
+        return success_probability(self.ber, self.c0 + self.step * y)
+
+    def v(self, y: int) -> float:
+        """Expected MSDUs delivered by an MPDU of ``y`` MSDUs."""
+        return y * self.p(y)
+
+    def psdu_bits(self, x, m):
+        """PSDU size of ``x`` MPDUs carrying ``m`` MSDUs [bits]."""
+        return self.c0 * x + self.step * m
+
+    def symbols(self, bits, rounded=None):
+        """OFDM symbols of a ``bits``-bit PSDU; whole ones if ``rounded`` (default: the link's mode)."""
+        raw = (bits + self.tail_bits) / self.per_symbol
+        if not (self.round_symbols if rounded is None else rounded):
+            return raw
+        return np.ceil(raw) if isinstance(raw, np.ndarray) else float(math.ceil(raw))
+
+    def cycle_time(self, x, m, rounded=None):
+        """Cycle airtime of ``x`` MPDUs carrying ``m`` MSDUs [us]: overhead + data."""
+        if isinstance(x, np.ndarray):
+            over = np.where(x <= BA64_FRAMES, self.overhead_ba64, self.overhead_full)
+        else:
+            over = self.overhead_ba64 if x <= BA64_FRAMES else self.overhead_full
+        return over + self.symbols(self.psdu_bits(x, m), rounded) * self.config.symbol_time
+
+    def goodput(self, x, m, v=None):
+        """Expected payload bits per cycle of ``x`` MPDUs carrying ``m`` MSDUs, balanced.
+
+        ``v(y)`` is ``Link.v``; array callers pass a lookup into a table of it.
+        """
+        v = v or self.v
+        y = m // x
+        n = m - y * x
+        return self.payload_bits * (n * v(y + 1) + (x - n) * v(y))
+
+    def airtime(self, plan: AggregationPlan) -> AirtimeBreakdown:
+        bits = self.psdu_bits(plan.x, plan.total_msdus)
+        symbols = self.symbols(bits)
+        data_time = symbols * self.config.symbol_time
+        return AirtimeBreakdown(
+            psdu_bits=bits,
+            symbols=symbols,
+            data_time=data_time,
+            ppdu_time=self.config.preamble + data_time,
+            cycle_time=self.cycle_time(plan.x, plan.total_msdus),
+        )
+
+    def verdict(self, plan: AggregationPlan) -> Feasibility:
+        """First violated transmission limit, or OK."""
+        cfg = self.config
+        if plan.x > cfg.max_mpdus:
+            return Feasibility.TOO_MANY_MPDUS
+        if plan.y_base + (plan.n_extra > 0) > self.y_cap:
+            return Feasibility.MPDU_TOO_LARGE
+        bits = self.psdu_bits(plan.x, plan.total_msdus)
+        if cfg.max_psdu_bytes is not None and bits > 8 * cfg.max_psdu_bytes:
+            return Feasibility.PSDU_TOO_LARGE
+        if not self.within_time_limit(bits):
+            return Feasibility.TIME_LIMIT_EXCEEDED
+        return Feasibility.OK
 
 
 def airtime(
@@ -157,20 +309,7 @@ def airtime(
     exact division, which is the continuous approximation used to bound the
     rounding error.
     """
-    _check_flavor(scenario, config)
-    rate = phy_rate(config, scenario.mcs)
-    msdu = MsduSlot.for_payload(scenario.msdu_len, overhead)
-    bits = plan_psdu_bits(plan, msdu, overhead)
-    raw = (bits + overhead.service_tail_bits) / (config.symbol_time * rate)
-    symbols = float(math.ceil(raw)) if round_symbols else raw
-    data_time = symbols * config.symbol_time
-    return AirtimeBreakdown(
-        psdu_bits=bits,
-        symbols=symbols,
-        data_time=data_time,
-        ppdu_time=config.preamble + data_time,
-        cycle_time=cycle_overhead(config, overhead, plan.x) + data_time,
-    )
+    return Link.of(scenario, config, overhead, round_symbols=round_symbols).airtime(plan)
 
 
 def is_feasible(
@@ -182,17 +321,4 @@ def is_feasible(
     round_symbols: bool = True,
 ) -> Feasibility:
     """First violated transmission limit, or OK."""
-    _check_flavor(scenario, config)
-    if plan.x > config.max_mpdus:
-        return Feasibility.TOO_MANY_MPDUS
-    msdu = MsduSlot.for_payload(scenario.msdu_len, overhead)
-    largest_y = plan.y_base + (1 if plan.n_extra else 0)
-    if mpdu_bytes(largest_y, msdu, overhead) > config.max_mpdu_bytes:
-        return Feasibility.MPDU_TOO_LARGE
-    if config.max_psdu_bytes is not None:
-        if plan_psdu_bits(plan, msdu, overhead) // 8 > config.max_psdu_bytes:
-            return Feasibility.PSDU_TOO_LARGE
-    air = airtime(plan, scenario, config, overhead, round_symbols=round_symbols)
-    if air.ppdu_time > config.ppdu_time_limit:
-        return Feasibility.TIME_LIMIT_EXCEEDED
-    return Feasibility.OK
+    return Link.of(scenario, config, overhead, round_symbols=round_symbols).verdict(plan)

@@ -250,10 +250,20 @@ class Scenario:
 
 
 # ---------------------------------------------------------------------------
-# Flat key=value configuration overrides (see README for the file format).
+# Flat key=value configuration overrides.
 
 def parse_override_text(text: str) -> dict:
-    """Parse `key = value` lines; '#' starts a comment, blank lines ignored."""
+    """Parse an override file: one ``key = value`` per line.
+
+    '#' starts a comment and blank lines are ignored.  Keys are the numeric
+    fields of ``ProtocolConfig`` and ``OverheadConfig``; values stay strings
+    here and are checked by ``apply_overrides``.  Example::
+
+        ppdu_time_limit = 5484     # [us]
+        max_mpdus = 256
+        mcs_rates = 288, 576, 864
+        max_psdu_bytes = none
+    """
     out: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -272,12 +282,16 @@ def load_override_file(path) -> dict:
 
 
 def _coerce(key: str, value, kind):
-    if not isinstance(value, str):
-        return kind(value)
+    """``value`` as ``kind``; an integer field takes whole numbers only."""
     try:
-        return kind(float(value)) if kind is int else kind(value)
+        if kind is float or isinstance(value, int):
+            return kind(value)
+        number = float(value)
+        if number.is_integer():
+            return int(number)
     except (ValueError, OverflowError):
-        raise ValueError(f"invalid value for {key}: {value!r}") from None
+        pass
+    raise ValueError(f"invalid value for {key}: {value!r}")
 
 
 def apply_overrides(
@@ -287,9 +301,14 @@ def apply_overrides(
 ) -> tuple[ProtocolConfig, OverheadConfig]:
     """Apply flat overrides to a protocol config and an overhead config.
 
-    Every numeric field of either dataclass can be overridden by name;
-    `mcs_rates` accepts a comma-separated list and `max_psdu_bytes` accepts
-    `none` for no cap.  Unknown keys are rejected.
+    Every numeric field of either dataclass can be overridden by name.
+    Values may be strings, as ``parse_override_text`` returns them, or
+    numbers.  A float field takes any number; an integer field takes whole
+    numbers only, in any float spelling (``64``, ``64.0`` and ``1e3`` are
+    accepted, ``2.7`` is rejected).  ``mcs_rates`` takes a comma-separated
+    list and ``max_psdu_bytes`` takes ``none`` (or ``unlimited``) for no
+    cap.  Unknown keys and malformed values raise ``ValueError``, as do
+    values the dataclasses reject.
     """
     cfg_kw: dict = {}
     ovh_kw: dict = {}
@@ -318,4 +337,15 @@ def apply_overrides(
         config = replace(config, **cfg_kw)
     if ovh_kw:
         overhead = replace(overhead, **ovh_kw)
+    return config, overhead
+
+
+def resolve_config(
+    flavor: ProtocolFlavor,
+    overrides: Optional[Mapping] = None,
+) -> tuple[ProtocolConfig, OverheadConfig]:
+    """The default configuration of ``flavor`` with ``overrides`` applied."""
+    config, overhead = default_config(flavor), DEFAULT_OVERHEAD
+    if overrides:
+        config, overhead = apply_overrides(config, overhead, overrides)
     return config, overhead

@@ -11,15 +11,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .exact import NoFeasiblePlanError, optimize_exact
-from .params import (
-    DEFAULT_OVERHEAD,
-    OverheadConfig,
-    ProtocolFlavor,
-    Scenario,
-    apply_overrides,
-    default_config,
-    phy_rate,
-)
+from .params import ProtocolFlavor, Scenario, phy_rate, resolve_config
 
 DEFAULT_BERS = (0.0, 1e-7, 1e-6, 1e-5)
 DEFAULT_MSDU_LENS = (64, 512, 1500)
@@ -55,10 +47,6 @@ class SweepGrid:
         if self.mcs_range is not None and flavor in self.mcs_range:
             return tuple(self.mcs_range[flavor])
         return tuple(range(n_rates))
-
-
-def default_grid() -> SweepGrid:
-    return SweepGrid()
 
 
 @dataclass(frozen=True)
@@ -109,31 +97,25 @@ def _evaluate_point(task) -> SweepRow:
 
 
 def run_sweep(
-    grid: Optional[SweepGrid] = None,
+    grid: SweepGrid = SweepGrid(),
     overrides: Optional[Mapping] = None,
-    overhead: OverheadConfig = DEFAULT_OVERHEAD,
     *,
     workers: int = 1,
     round_symbols: bool = True,
 ) -> list:
     """Optimize every grid point; rows ordered by (flavor, ber, msdu_len, mcs).
 
-    Infeasible points become zero rows instead of aborting the sweep.
+    Each flavor's configuration is its default with ``overrides`` applied
+    (see ``params.resolve_config``).  Infeasible points become zero rows
+    instead of aborting the sweep.
     """
-    if grid is None:
-        grid = default_grid()
     tasks = []
     for flavor in grid.flavors:
-        config = default_config(flavor)
-        flavor_overhead = overhead
-        if overrides:
-            config, flavor_overhead = apply_overrides(config, overhead, overrides)
+        config, overhead = resolve_config(flavor, overrides)
         for ber in grid.bers:
             for msdu_len in grid.msdu_lens:
                 for mcs in grid.mcs_for(flavor, len(config.mcs_rates)):
-                    tasks.append(
-                        (flavor, mcs, ber, msdu_len, config, flavor_overhead, round_symbols)
-                    )
+                    tasks.append((flavor, mcs, ber, msdu_len, config, overhead, round_symbols))
     if workers <= 1:
         return [_evaluate_point(t) for t in tasks]
     # imported here: the pool pulls in multiprocessing, which a serial sweep
@@ -168,12 +150,6 @@ def rows_to_json(rows) -> str:
         item["flavor"] = row.flavor.value
         out.append(item)
     return json.dumps(out, indent=2, allow_nan=False) + "\n"
-
-
-def write_rows(rows, path, fmt: str = "csv") -> None:
-    text = rows_to_csv(rows) if fmt == "csv" else rows_to_json(rows)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -173,6 +174,15 @@ def test_reliable_crossover_values():
     assert smallest_mcs_at_least(AX256, rel.continuous) == 3
     continuous = {crossover_rate_reliable(L, DEFAULT_OVERHEAD, AX256).continuous for L in (64, 512, 1500)}
     assert len(continuous) == 1
+
+
+def test_reliable_crossover_counts_aligned_mpdus():
+    # 35 bytes of per-MPDU overhead pad to 36: four 772-byte MSDUs fill the
+    # 3895-byte cap, and each full MPDU is 36 + 4 * 772 bytes on air
+    ovh = replace(DEFAULT_OVERHEAD, mac_header=27)
+    cfg = replace(AX256, max_mpdu_bytes=3895)
+    span = cfg.ppdu_time_limit - cfg.preamble
+    assert crossover_rate_reliable(758, ovh, cfg).discrete == 8.0 * 64 * (36 + 4 * 772) / span
 
 
 @pytest.mark.parametrize(

@@ -120,6 +120,35 @@ def test_bad_override_is_a_one_line_error(capsys, tmp_path, override, field):
     assert err.count("\n") == 1
 
 
+def test_fractional_integer_override_is_a_one_line_error(capsys, tmp_path):
+    cfg = tmp_path / "frac.cfg"
+    cfg.write_text("max_mpdus = 2.7\n", encoding="utf-8")
+    code, out, err = run_cli(
+        capsys,
+        "optimize", "--flavor", "ax256", "--mcs", "1", "--ber", "1e-6", "--msdu-len", "64",
+        "--config", str(cfg),
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "aggthru: error: invalid value for max_mpdus: '2.7'\n"
+
+
+def test_optimizer_respects_the_aligned_mpdu_byte_cap(capsys, tmp_path):
+    # a 35-byte per-MPDU overhead pads to 36, so the cap fits four 772-byte
+    # MSDUs, not five; the answer must be a plan the limit checks accept
+    cfg = tmp_path / "header27.cfg"
+    cfg.write_text("mac_header = 27\nmax_mpdu_bytes = 3895\n", encoding="utf-8")
+    code, out, err = run_cli(
+        capsys,
+        "optimize", "--flavor", "ax64", "--mcs", "11", "--ber", "0", "--msdu-len", "758",
+        "--config", str(cfg),
+    )
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["feasible"] is True
+    assert payload["plan"] == {"x": 63, "y_base": 3, "n_extra": 61}
+
+
 def test_huge_mpdu_byte_cap_evaluates_quickly(capsys, tmp_path):
     # the per-y tables stop at the MSDU count the PPDU time budget can carry
     cfg = tmp_path / "huge.cfg"

@@ -18,7 +18,6 @@ from aggthru import (
     cycle_overhead,
     default_config,
     is_feasible,
-    monte_carlo_throughput,
     mpdu_bits,
     optimize_exact,
     simulate_throughput,
@@ -223,12 +222,19 @@ def test_optimizer_dominates_random_plans(flavor, mcs, ber, msdu_len):
     max_mpdus=st.integers(min_value=1, max_value=8),
     round_symbols=st.booleans(),
     overhead=st.sampled_from([DEFAULT_OVERHEAD, ZERO_CYCLE_OVERHEAD]),
+    mpdu_delimiter=st.integers(min_value=0, max_value=8),
+    mac_header=st.integers(min_value=1, max_value=40),
+    fcs=st.integers(min_value=0, max_value=8),
 )
 def test_optimizer_matches_brute_force_property(
-    flavor, mcs, ber, msdu_len, ppdu_time_limit, y_cap, byte_slack, max_mpdus, round_symbols, overhead
+    flavor, mcs, ber, msdu_len, ppdu_time_limit, y_cap, byte_slack, max_mpdus, round_symbols, overhead,
+    mpdu_delimiter, mac_header, fcs,
 ):
     # the MPDU byte cap is drawn as a per-MPDU MSDU count (0 = the MSDU does
-    # not fit), which bounds the brute-force search to 36 * 40 plans
+    # not fit), which bounds the brute-force search to 36 * 40 plans; the
+    # per-MPDU overhead need not be a multiple of 4, so the MPDU's own
+    # padding decides whether the y_cap-th MSDU still fits
+    overhead = replace(overhead, mpdu_delimiter=mpdu_delimiter, mac_header=mac_header, fcs=fcs)
     slot = MsduSlot.for_payload(msdu_len, overhead)
     config = replace(
         default_config(flavor),
@@ -289,15 +295,15 @@ def test_monte_carlo_reliable_channel_is_exact():
     sc = Scenario(ProtocolFlavor.AX256, 11, 0.0, 1500)
     plan = AggregationPlan(255, 6, 252)
     exact = throughput_exact(plan, sc, AX256).throughput
-    assert monte_carlo_throughput(plan, sc, AX256, cycles=100, seed=3) == exact
+    assert simulate_throughput(plan, sc, AX256, cycles=100, seed=3).throughput == exact
 
 
 def test_monte_carlo_deterministic_given_seed():
     sc = Scenario(ProtocolFlavor.AX256, 7, 1e-5, 1500)
     plan = optimize_exact(sc, AX256).plan
-    a = monte_carlo_throughput(plan, sc, AX256, cycles=5000, seed=42)
-    b = monte_carlo_throughput(plan, sc, AX256, cycles=5000, seed=42)
-    c = monte_carlo_throughput(plan, sc, AX256, cycles=5000, seed=43)
+    a = simulate_throughput(plan, sc, AX256, cycles=5000, seed=42).throughput
+    b = simulate_throughput(plan, sc, AX256, cycles=5000, seed=42).throughput
+    c = simulate_throughput(plan, sc, AX256, cycles=5000, seed=43).throughput
     assert a == b
     assert a != c
 
@@ -314,4 +320,4 @@ def test_monte_carlo_close_to_analytic(seed):
 def test_monte_carlo_rejects_bad_cycles():
     sc = Scenario(ProtocolFlavor.AX256, 7, 1e-5, 1500)
     with pytest.raises(ValueError, match="cycles"):
-        monte_carlo_throughput(AggregationPlan(1, 1, 0), sc, AX256, cycles=0, seed=0)
+        simulate_throughput(AggregationPlan(1, 1, 0), sc, AX256, cycles=0, seed=0)

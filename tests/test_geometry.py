@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -5,6 +7,7 @@ from aggthru import (
     DEFAULT_OVERHEAD,
     AggregationPlan,
     Feasibility,
+    Link,
     MsduSlot,
     MsduTooLargeError,
     ProtocolFlavor,
@@ -60,6 +63,19 @@ def test_mpdu_bits_properties(y, payload):
 def test_y_max_examples(payload, expected):
     slot = MsduSlot.for_payload(payload)
     assert y_max(slot, DEFAULT_OVERHEAD, AC) == expected
+
+
+def test_y_max_counts_the_aligned_empty_mpdu():
+    # a 35-byte per-MPDU overhead pads to 36, so five 772-byte MSDUs need
+    # 3896 bytes: one more than the cap, although 35 + 5 * 772 fits
+    ovh = replace(DEFAULT_OVERHEAD, mac_header=27)
+    cfg = replace(AX64, max_mpdu_bytes=3895)
+    slot = MsduSlot.for_payload(758, ovh)
+    assert y_max(slot, ovh, cfg) == 4
+    assert mpdu_bytes(4, slot, ovh) <= 3895 < mpdu_bytes(5, slot, ovh)
+    sc = Scenario(ProtocolFlavor.AX64, 11, 0.0, 758)
+    assert is_feasible(AggregationPlan(2, 4, 1), sc, cfg, ovh) is Feasibility.MPDU_TOO_LARGE
+    assert is_feasible(AggregationPlan(2, 4, 0), sc, cfg, ovh) is Feasibility.OK
 
 
 def test_y_max_rejects_oversized_msdu():
@@ -193,3 +209,26 @@ def test_flavor_mismatch_rejected():
     sc = Scenario(ProtocolFlavor.AX64, 0, 0.0, 64)
     with pytest.raises(ValueError, match="does not match"):
         airtime(AggregationPlan(1, 1, 0), sc, AC)
+
+
+@given(
+    flavor=st.sampled_from(list(ProtocolFlavor)),
+    mcs=st.integers(min_value=0, max_value=11),
+    msdu_len=st.integers(min_value=1, max_value=2304),
+    ppdu_time_limit=st.floats(min_value=0.0, max_value=5484.0),
+    round_symbols=st.booleans(),
+    x=st.integers(min_value=1, max_value=256),
+    y=st.integers(min_value=1, max_value=20),
+)
+def test_link_time_limit_matches_airtime(flavor, mcs, msdu_len, ppdu_time_limit, round_symbols, x, y):
+    # the verdict's time check and the optimizer's bit budget agree with the
+    # PPDU time the airtime reports
+    cfg = replace(default_config(flavor), ppdu_time_limit=ppdu_time_limit, max_psdu_bytes=None)
+    sc = Scenario(flavor, mcs % len(cfg.mcs_rates), 0.0, msdu_len)
+    link = Link.of(sc, cfg, round_symbols=round_symbols)
+    air = airtime(AggregationPlan(x, y, 0), sc, cfg, round_symbols=round_symbols)
+    assert link.within_time_limit(air.psdu_bits) == (air.ppdu_time <= ppdu_time_limit)
+    cap = link.bit_cap
+    if cap >= 0:
+        assert link.within_time_limit(cap)
+    assert not link.within_time_limit(cap + 1)

@@ -17,6 +17,7 @@ from aggthru import (
     default_config,
     parse_override_text,
     phy_rate,
+    resolve_config,
 )
 
 ALL_FLAVORS = tuple(ProtocolFlavor)
@@ -194,6 +195,25 @@ def test_apply_overrides():
     assert cfg.max_mpdus == 128
     assert cfg.mcs_rates == (100.0, 200.0)
     assert cfg.max_psdu_bytes is None
+
+
+@pytest.mark.parametrize("value", ["64.0", "1e3", 64.0, 1000])
+def test_integer_override_takes_whole_numbers(value):
+    cfg, _ = apply_overrides(default_config(ProtocolFlavor.AC64), DEFAULT_OVERHEAD, {"max_mpdus": value})
+    assert cfg.max_mpdus == int(float(value))
+    assert type(cfg.max_mpdus) is int
+
+
+@pytest.mark.parametrize("value", ["2.7", 2.7, "inf", "nan", "1e400", "two"])
+def test_integer_override_rejects_fractions(value):
+    with pytest.raises(ValueError, match="invalid value for max_mpdus"):
+        apply_overrides(default_config(ProtocolFlavor.AC64), DEFAULT_OVERHEAD, {"max_mpdus": value})
+
+
+def test_resolve_config():
+    assert resolve_config(ProtocolFlavor.AX64) == (default_config(ProtocolFlavor.AX64), DEFAULT_OVERHEAD)
+    cfg, ovh = resolve_config(ProtocolFlavor.AX64, {"sifs": "10", "max_mpdus": "32"})
+    assert (cfg.max_mpdus, ovh.sifs) == (32, 10.0)
 
 
 def test_apply_overrides_rejects_unknown_key():

@@ -11,7 +11,6 @@ from aggthru import (
 from aggthru.report import (
     CSV_HEADER,
     SweepGrid,
-    default_grid,
     improvement,
     rows_to_csv,
     rows_to_json,
