@@ -120,6 +120,8 @@ def x_opt_coefficient(
         raise ValueError("use reliable-channel crossover instead")
     if ber >= 1.0:
         raise ValueError(f"bit error rate must lie in [0, 1), got {ber}")
+    if not (math.isfinite(o_m_bits) and o_m_bits > 0):
+        raise ValueError(f"per-MPDU overhead must be finite and > 0 bits, got {o_m_bits}")
     a = float(o_m_bits)
     b = math.log1p(-ber)
     span = t_limit - preamble

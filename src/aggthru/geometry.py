@@ -5,14 +5,16 @@ is prefixed by a subheader and padded to a 4-byte boundary, each MPDU adds
 delimiter + MAC header + FCS and is itself padded to 4 bytes, and the whole
 PSDU is sent as whole OFDM symbols after a fixed preamble.  A ``Link`` holds
 everything a plan's cost depends on for one scenario; the kernel, the
-airtime, the limit checks and the optimizer all use it.
+airtime, the limit checks and the optimizer all use it.  A ``Link`` is
+immutable, so ``Link.of`` builds it once per scenario and hands the same
+cached value to every caller.
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -153,10 +155,9 @@ class Link:
     ``C(y) = c0 + step*y`` bits and a balanced plan of ``x`` MPDUs and
     ``m`` MSDUs a PSDU of ``c0*x + step*m`` bits.  ``psdu_bits``,
     ``cycle_time`` and ``goodput`` are the only copy of the cycle model;
-    they take ints or numpy arrays alike.  ``verdict`` checks a plan against
-    ``y_cap`` and ``within_time_limit``; the optimizer searches under
-    ``y_cap`` and ``bit_cap``, the largest PSDU that passes the same checks.
-    Build one with ``Link.of``.
+    they take ints or numpy arrays alike.  ``verdict`` and the optimizer both
+    check a plan against ``y_cap`` and ``bit_cap``, the largest PSDU within
+    the byte and time limits.  ``Link.of`` caches one per scenario for all callers.
     """
 
     config: ProtocolConfig
@@ -180,7 +181,14 @@ class Link:
         *,
         round_symbols: bool = True,
     ) -> "Link":
-        """The link of ``scenario`` under ``config``, whose flavor it must share."""
+        """The shared link of ``scenario`` under ``config``, whose flavor it must share."""
+        return cls._build(scenario, config, overhead, round_symbols)
+
+    # Callers reuse a scenario's Link while they work on it (a search, a
+    # curve, a simulation), not across a sweep, so a small bound keeps every reuse.
+    @staticmethod
+    @lru_cache(maxsize=256)
+    def _build(scenario, config, overhead, round_symbols) -> "Link":
         if scenario.flavor is not config.flavor:
             raise ValueError(
                 f"scenario flavor {scenario.flavor.value} does not match "
@@ -192,7 +200,7 @@ class Link:
             y_cap = y_max(msdu, overhead, config)
         except MsduTooLargeError:
             y_cap = 0
-        return cls(
+        return Link(
             config=config,
             round_symbols=round_symbols,
             per_symbol=per_symbol,
@@ -250,13 +258,15 @@ class Link:
             return raw
         return np.ceil(raw) if isinstance(raw, np.ndarray) else float(math.ceil(raw))
 
+    def overhead(self, x):
+        """Per-cycle overhead of ``x`` MPDUs [us], with their block ack."""
+        if isinstance(x, np.ndarray):
+            return np.where(x <= BA64_FRAMES, self.overhead_ba64, self.overhead_full)
+        return self.overhead_ba64 if x <= BA64_FRAMES else self.overhead_full
+
     def cycle_time(self, x, m, rounded=None):
         """Cycle airtime of ``x`` MPDUs carrying ``m`` MSDUs [us]: overhead + data."""
-        if isinstance(x, np.ndarray):
-            over = np.where(x <= BA64_FRAMES, self.overhead_ba64, self.overhead_full)
-        else:
-            over = self.overhead_ba64 if x <= BA64_FRAMES else self.overhead_full
-        return over + self.symbols(self.psdu_bits(x, m), rounded) * self.config.symbol_time
+        return self.overhead(x) + self.symbols(self.psdu_bits(x, m), rounded) * self.config.symbol_time
 
     def goodput(self, x, m, v=None):
         """Expected payload bits per cycle of ``x`` MPDUs carrying ``m`` MSDUs, balanced.
@@ -266,7 +276,9 @@ class Link:
         v = v or self.v
         y = m // x
         n = m - y * x
-        return self.payload_bits * (n * v(y + 1) + (x - n) * v(y))
+        if isinstance(n, np.ndarray) or n:
+            return self.payload_bits * (n * v(y + 1) + (x - n) * v(y))
+        return self.payload_bits * (x * v(y))
 
     def airtime(self, plan: AggregationPlan) -> AirtimeBreakdown:
         bits = self.psdu_bits(plan.x, plan.total_msdus)
@@ -277,7 +289,7 @@ class Link:
             symbols=symbols,
             data_time=data_time,
             ppdu_time=self.config.preamble + data_time,
-            cycle_time=self.cycle_time(plan.x, plan.total_msdus),
+            cycle_time=self.overhead(plan.x) + data_time,
         )
 
     def verdict(self, plan: AggregationPlan) -> Feasibility:
@@ -288,11 +300,12 @@ class Link:
         if plan.y_base + (plan.n_extra > 0) > self.y_cap:
             return Feasibility.MPDU_TOO_LARGE
         bits = self.psdu_bits(plan.x, plan.total_msdus)
+        if bits <= self.bit_cap:
+            return Feasibility.OK
         if cfg.max_psdu_bytes is not None and bits > 8 * cfg.max_psdu_bytes:
             return Feasibility.PSDU_TOO_LARGE
-        if not self.within_time_limit(bits):
-            return Feasibility.TIME_LIMIT_EXCEEDED
-        return Feasibility.OK
+        return Feasibility.TIME_LIMIT_EXCEEDED
+
 
 
 def airtime(

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, fields, replace
 from typing import Mapping, Optional
 
@@ -78,6 +79,7 @@ class ProtocolConfig:
     mcs_rates: tuple              # Mbps, indexed by MCS
 
     def __post_init__(self):
+        object.__setattr__(self, "mcs_rates", tuple(self.mcs_rates))  # hashable, as Link.of needs
         if not self.mcs_rates:
             raise ValueError("mcs_rates must not be empty")
         if not all(math.isfinite(r) and r > 0 for r in self.mcs_rates):
@@ -100,7 +102,6 @@ class ProtocolConfig:
     def from_dict(cls, data: Mapping) -> "ProtocolConfig":
         kw = dict(data)
         kw["flavor"] = ProtocolFlavor(kw["flavor"])
-        kw["mcs_rates"] = tuple(kw["mcs_rates"])
         return cls(**kw)
 
 
@@ -241,6 +242,12 @@ class Scenario:
     msdu_len: int
 
     def __post_init__(self):
+        # stored as Python ints, so equal scenarios are interchangeable
+        for name in ("mcs", "msdu_len"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if not 0.0 <= self.ber < 1.0:
             raise ValueError(f"bit error rate must lie in [0, 1), got {self.ber}")
         if self.msdu_len < 1:

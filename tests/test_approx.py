@@ -99,6 +99,12 @@ def test_x_opt_rejects_zero_ber():
         x_opt_closed_form(_scenario(ber=0.0))
 
 
+@pytest.mark.parametrize("o_m_bits", [0, -24, math.inf, math.nan])
+def test_x_opt_rejects_bad_mpdu_overhead(o_m_bits):
+    with pytest.raises(ValueError, match="per-MPDU overhead"):
+        x_opt_coefficient(1e-5, o_m_bits)
+
+
 def test_x_opt_is_a_local_maximum():
     cs = _scenario(rate=2882.0)
     x_opt = x_opt_closed_form(cs)

@@ -120,6 +120,26 @@ def test_bad_override_is_a_one_line_error(capsys, tmp_path, override, field):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv,override",
+    [
+        (("xopt", "--ber", "1e-5", "--rate", "1000", "--om-bytes", "0"), None),
+        (("xopt", "--ber", "1e-5", "--rate", "1000", "--om-bytes", "-3"), None),
+        (("crossover", "--ber", "1e-7"), "mpdu_delimiter = 0\nmac_header = 0\nfcs = 0\n"),
+    ],
+)
+def test_no_per_mpdu_overhead_is_a_one_line_error(capsys, tmp_path, argv, override):
+    if override is not None:
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text(override, encoding="utf-8")
+        argv += ("--config", str(cfg))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("aggthru: error: per-MPDU overhead must be finite and > 0")
+    assert err.count("\n") == 1
+
+
 def test_fractional_integer_override_is_a_one_line_error(capsys, tmp_path):
     cfg = tmp_path / "frac.cfg"
     cfg.write_text("max_mpdus = 2.7\n", encoding="utf-8")

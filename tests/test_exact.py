@@ -9,6 +9,7 @@ from aggthru import (
     DEFAULT_OVERHEAD,
     AggregationPlan,
     InfeasiblePlanError,
+    Link,
     MsduSlot,
     MsduTooLargeError,
     NoFeasiblePlanError,
@@ -286,6 +287,25 @@ def test_optimizer_unrounded_not_below_rounded():
         assert unrounded >= rounded
 
 
+@pytest.mark.parametrize("round_symbols", [True, False])
+def test_results_do_not_depend_on_the_link_cache(round_symbols):
+    sc = Scenario(ProtocolFlavor.AX256, 9, 1e-5, 512)
+    plan = AggregationPlan(100, 3, 5)
+
+    def results(clear):
+        out = []
+        for call in (
+            lambda: optimize_exact(sc, AX256, round_symbols=round_symbols),
+            lambda: throughput_exact(plan, sc, AX256, round_symbols=round_symbols),
+        ):
+            if clear:
+                Link._build.cache_clear()
+            out.append(repr(call()))
+        return out
+
+    assert results(clear=True) == results(clear=False)
+
+
 def test_success_probability():
     assert success_probability(0.0, 10**9) == 1.0
     assert success_probability(1e-5, 928) == pytest.approx(math.pow(1 - 1e-5, 928), rel=1e-12)
@@ -295,7 +315,8 @@ def test_monte_carlo_reliable_channel_is_exact():
     sc = Scenario(ProtocolFlavor.AX256, 11, 0.0, 1500)
     plan = AggregationPlan(255, 6, 252)
     exact = throughput_exact(plan, sc, AX256).throughput
-    assert simulate_throughput(plan, sc, AX256, cycles=100, seed=3).throughput == exact
+    res = simulate_throughput(plan, sc, AX256, cycles=100, seed=3)
+    assert res.throughput == exact and res.std_error == 0.0
 
 
 def test_monte_carlo_deterministic_given_seed():
@@ -306,6 +327,16 @@ def test_monte_carlo_deterministic_given_seed():
     c = simulate_throughput(plan, sc, AX256, cycles=5000, seed=43).throughput
     assert a == b
     assert a != c
+
+
+def test_monte_carlo_stream_is_pinned():
+    # the draws behind criterion 8's fixed seeds: a new sampler or draw order fails here
+    sc = Scenario(ProtocolFlavor.AX256, 7, 1e-5, 1500)
+    plan = optimize_exact(sc, AX256).plan
+    assert plan == AggregationPlan(256, 1, 6) and len(plan.mpdu_groups()) == 2
+    res = simulate_throughput(plan, sc, AX256, cycles=5000, seed=42)
+    assert res.throughput == 2046.6501740611807
+    assert res.std_error == 0.6909455884923684
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

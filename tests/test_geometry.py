@@ -1,7 +1,9 @@
 from dataclasses import replace
 
+import math
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from aggthru import (
     DEFAULT_OVERHEAD,
@@ -232,3 +234,82 @@ def test_link_time_limit_matches_airtime(flavor, mcs, msdu_len, ppdu_time_limit,
     if cap >= 0:
         assert link.within_time_limit(cap)
     assert not link.within_time_limit(cap + 1)
+
+
+def test_link_of_shares_one_link_per_scenario():
+    sc = Scenario(ProtocolFlavor.AX256, 9, 1e-5, 512)
+    link = Link.of(sc, AX256)
+    same = Link.of(Scenario(ProtocolFlavor.AX256, 9, 1e-5, 512), replace(AX256), DEFAULT_OVERHEAD, round_symbols=True)
+    assert same is link
+    assert Link.of(sc, AX256, round_symbols=False) is not link
+    assert Link._build.cache_info().maxsize is not None
+
+
+def test_link_cache_keeps_int_sizes():
+    # 512.0 == 512 would give both scenarios one cache entry, so floats are refused
+    plan = AggregationPlan(100, 3, 0)
+    with pytest.raises(ValueError, match="msdu_len"):
+        airtime(plan, Scenario(ProtocolFlavor.AX256, 9, 1e-5, 512.0), AX256)
+    assert type(airtime(plan, Scenario(ProtocolFlavor.AX256, 9, 1e-5, 512), AX256).psdu_bits) is int
+
+
+def _verdict_in_sequence(link, plan):
+    # the limits one after another, as the verdict read before it used bit_cap
+    cfg = link.config
+    if plan.x > cfg.max_mpdus:
+        return Feasibility.TOO_MANY_MPDUS
+    if plan.y_base + (plan.n_extra > 0) > link.y_cap:
+        return Feasibility.MPDU_TOO_LARGE
+    bits = link.psdu_bits(plan.x, plan.total_msdus)
+    if cfg.max_psdu_bytes is not None and bits > 8 * cfg.max_psdu_bytes:
+        return Feasibility.PSDU_TOO_LARGE
+    if not link.within_time_limit(bits):
+        return Feasibility.TIME_LIMIT_EXCEEDED
+    return Feasibility.OK
+
+
+@given(
+    flavor=st.sampled_from(list(ProtocolFlavor)),
+    mcs=st.integers(min_value=0, max_value=11),
+    msdu_len=st.integers(min_value=1, max_value=2304),
+    round_symbols=st.booleans(),
+    x=st.integers(min_value=1, max_value=300),
+    y_base=st.integers(min_value=0, max_value=30),
+    n_extra=st.integers(min_value=0, max_value=299),
+    mpdus_step=st.integers(min_value=-2, max_value=2),
+    mpdu_bytes_step=st.one_of(st.none(), st.integers(min_value=-2, max_value=2)),
+    psdu_bytes_step=st.one_of(st.none(), st.integers(min_value=-2, max_value=2)),
+    limit=st.one_of(st.integers(min_value=-2, max_value=2), st.floats(min_value=0.0, max_value=6000.0)),
+)
+@example(ProtocolFlavor.AC64, 0, 1500, True, 1, 1, 0, 0, None, None, 0.0)  # no PSDU fits at all
+@example(ProtocolFlavor.AC64, 0, 1500, True, 1, 1, 0, 0, None, 0, 0)  # max_psdu_bytes = bits / 8
+@example(ProtocolFlavor.AC64, 0, 1500, True, 1, 1, 0, 0, None, -1, -1)  # over both byte and time caps
+def test_verdict_matches_the_limits_in_sequence(
+    flavor, mcs, msdu_len, round_symbols, x, y_base, n_extra,
+    mpdus_step, mpdu_bytes_step, psdu_bytes_step, limit,
+):
+    # each limit is drawn on or next to the plan's own size, so plans fall on
+    # both sides of every cap; an int limit is a symbol offset from the plan's
+    # last symbol, a float one any PPDU time
+    cfg = default_config(flavor)
+    sc = Scenario(flavor, mcs % len(cfg.mcs_rates), 0.0, msdu_len)
+    n_extra %= x
+    plan = AggregationPlan(x, max(y_base, n_extra == 0), n_extra)
+    biggest = plan.y_base + (plan.n_extra > 0)
+    msdu = MsduSlot.for_payload(msdu_len)
+    bits = Link.of(sc, cfg).psdu_bits(plan.x, plan.total_msdus)
+    if isinstance(limit, int):
+        symbols = math.ceil(Link.of(sc, cfg, round_symbols=round_symbols).symbols(bits))
+        limit = cfg.preamble + (symbols + limit) * cfg.symbol_time
+    cfg = replace(
+        cfg,
+        max_mpdus=max(1, x + mpdus_step),
+        max_mpdu_bytes=(
+            cfg.max_mpdu_bytes if mpdu_bytes_step is None
+            else max(1, mpdu_bytes(biggest, msdu) + mpdu_bytes_step)
+        ),
+        max_psdu_bytes=None if psdu_bytes_step is None else max(0, bits // 8 + psdu_bytes_step),
+        ppdu_time_limit=limit,
+    )
+    link = Link.of(sc, cfg, round_symbols=round_symbols)
+    assert link.verdict(plan) is _verdict_in_sequence(link, plan)

@@ -1,5 +1,7 @@
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from aggthru import (
@@ -149,9 +151,28 @@ def test_scenario_rejects_bad_inputs(kwargs):
         Scenario(**base)
 
 
+@pytest.mark.parametrize("field", ["mcs", "msdu_len"])
+def test_scenario_rejects_float_counts(field):
+    base = dict(flavor=ProtocolFlavor.AX256, mcs=5, ber=1e-6, msdu_len=512)
+    base[field] = float(base[field])
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        Scenario(**base)
+
+
+def test_scenario_stores_python_ints():
+    sc = Scenario(ProtocolFlavor.AX256, np.int64(5), 1e-6, np.int32(512))
+    assert type(sc.mcs) is int and type(sc.msdu_len) is int
+    assert sc == Scenario(ProtocolFlavor.AX256, 5, 1e-6, 512)
+
+
 def test_scenario_accepts_zero_ber():
     sc = Scenario(ProtocolFlavor.AC64, 0, 0.0, 64)
     assert sc.ber == 0.0
+
+
+def test_config_takes_a_list_of_rates():
+    cfg = replace(default_config(ProtocolFlavor.AC64), mcs_rates=list(AC_MCS_RATES))
+    assert cfg.mcs_rates == AC_MCS_RATES and hash(cfg) == hash(default_config(ProtocolFlavor.AC64))
 
 
 def test_config_validation():
