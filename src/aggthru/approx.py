@@ -162,6 +162,8 @@ def crossover_rate_reliable(
     continuous variant ignores the integrality of the per-MPDU MSDU count
     and is independent of the MSDU size.
     """
+    if msdu_len < 1:
+        raise ValueError("msdu_len must be >= 1 byte")
     msdu = MsduSlot.for_payload(msdu_len, overhead)
     full_mpdu = mpdu_bytes(y_max(msdu, overhead, config), msdu, overhead)
     span = config.ppdu_time_limit - config.preamble

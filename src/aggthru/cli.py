@@ -1,14 +1,15 @@
 """Command-line front end: optimize, sweep, xopt, crossover, validate.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 a sweep produced
-no feasible point.  Infeasible single scenarios are reported in-band as
-JSON, not as process failures.
+Exit codes: 0 success, 1 usage or configuration error or out of memory,
+2 a sweep produced no feasible point.  Infeasible single scenarios are
+reported in-band as JSON, not as process failures.
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import json
+import math
 import sys
 
 from .approx import (
@@ -230,6 +231,8 @@ def _check_args(args) -> None:
         raise ValueError("give exactly one of --ber or --reliable")
     if args.command == "xopt" and not 0.0 < args.ber < 1.0:
         raise ValueError("--ber must lie in (0, 1); use 'crossover --reliable' for BER=0")
+    if args.command == "xopt" and not 0.0 < args.rate < math.inf:
+        raise ValueError(f"--rate must be finite and > 0 [Mbps], got {args.rate}")
 
 
 def main(argv=None) -> int:
@@ -240,6 +243,11 @@ def main(argv=None) -> int:
         return args.func(args, overrides)
     except (ValueError, OSError) as exc:
         print(f"aggthru: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # the optimizer's work grows with the limits; huge ones can exhaust memory
+        detail = str(exc).splitlines()[0] if str(exc) else "no detail"
+        print(f"aggthru: error: out of memory ({detail})", file=sys.stderr)
         return 1
 
 

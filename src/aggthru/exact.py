@@ -49,13 +49,20 @@ def throughput_exact(
     *,
     round_symbols: bool = True,
 ) -> ThroughputResult:
-    """Expected throughput of a feasible plan [Mbps]."""
+    """Expected throughput of a feasible plan [Mbps].
+
+    Raises ``InfeasiblePlanError`` with the first limit the plan violates,
+    checked in the order of ``Link.verdict``.  The plan's PSDU bits are
+    computed once and shared by the verdict and the airtime.
+    """
     link = Link.of(scenario, config, overhead, round_symbols=round_symbols)
-    verdict = link.verdict(plan)
-    if not verdict.ok:
+    m = plan.total_msdus
+    bits = link.psdu_bits(plan.x, m)
+    verdict = link.verdict(plan, bits)
+    if verdict is not Feasibility.OK:
         raise InfeasiblePlanError(verdict)
-    air = link.airtime(plan)
-    good = link.goodput(plan.x, plan.total_msdus)
+    air = link.airtime(plan, bits)
+    good = link.goodput(plan.x, m)
     return ThroughputResult(good / air.cycle_time, plan, air, good)
 
 

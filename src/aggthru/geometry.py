@@ -147,6 +147,11 @@ class Feasibility(enum.Enum):
         return self is Feasibility.OK
 
 
+# The arguments and result of the last ``Link.of`` call, as one tuple, so a
+# reader in another thread never pairs one call's arguments with another's link.
+_last_link = (None, None, None, None, None)
+
+
 @dataclass(frozen=True)
 class Link:
     """Everything a plan's cost depends on, for one scenario and configuration.
@@ -171,6 +176,7 @@ class Link:
     overhead_full: float   # per-cycle overhead [us] for x > BA64_FRAMES
     payload_bits: float    # MSDU payload [bits]
     ber: float
+    log_q: float           # log(1 - ber): an intact C-bit MPDU has probability exp(C * log_q)
 
     @classmethod
     def of(
@@ -181,8 +187,24 @@ class Link:
         *,
         round_symbols: bool = True,
     ) -> "Link":
-        """The shared link of ``scenario`` under ``config``, whose flavor it must share."""
-        return cls._build(scenario, config, overhead, round_symbols)
+        """The shared link of ``scenario`` under ``config``, whose flavor it must share.
+
+        A caller that repeats its last arguments, the same objects (``is``),
+        gets the last link back without hashing them; any other call goes to
+        the bounded cache of ``_build``, which matches equal arguments.
+        """
+        global _last_link
+        last_scenario, last_config, last_overhead, last_round, link = _last_link
+        if (
+            scenario is last_scenario
+            and config is last_config
+            and overhead is last_overhead
+            and round_symbols is last_round
+        ):
+            return link
+        link = cls._build(scenario, config, overhead, round_symbols)
+        _last_link = (scenario, config, overhead, round_symbols, link)
+        return link
 
     # Callers reuse a scenario's Link while they work on it (a search, a
     # curve, a simulation), not across a sweep, so a small bound keeps every reuse.
@@ -212,6 +234,7 @@ class Link:
             overhead_full=cycle_overhead(config, overhead),
             payload_bits=8.0 * scenario.msdu_len,
             ber=scenario.ber,
+            log_q=math.log1p(-scenario.ber),
         )
 
     def within_time_limit(self, bits) -> bool:
@@ -240,8 +263,12 @@ class Link:
         return lo
 
     def p(self, y: int) -> float:
-        """Probability that an MPDU of ``y`` MSDUs arrives intact."""
-        return success_probability(self.ber, self.c0 + self.step * y)
+        """Probability that an MPDU of ``y`` MSDUs arrives intact.
+
+        The same double as ``success_probability(ber, c0 + step*y)``, with
+        ``log1p(-ber)`` taken once per link.
+        """
+        return math.exp((self.c0 + self.step * y) * self.log_q)
 
     def v(self, y: int) -> float:
         """Expected MSDUs delivered by an MPDU of ``y`` MSDUs."""
@@ -280,8 +307,10 @@ class Link:
             return self.payload_bits * (n * v(y + 1) + (x - n) * v(y))
         return self.payload_bits * (x * v(y))
 
-    def airtime(self, plan: AggregationPlan) -> AirtimeBreakdown:
-        bits = self.psdu_bits(plan.x, plan.total_msdus)
+    def airtime(self, plan: AggregationPlan, bits=None) -> AirtimeBreakdown:
+        """Airtime of ``plan``, whose PSDU bits a caller may pass in if it has them."""
+        if bits is None:
+            bits = self.psdu_bits(plan.x, plan.total_msdus)
         symbols = self.symbols(bits)
         data_time = symbols * self.config.symbol_time
         return AirtimeBreakdown(
@@ -292,14 +321,15 @@ class Link:
             cycle_time=self.overhead(plan.x) + data_time,
         )
 
-    def verdict(self, plan: AggregationPlan) -> Feasibility:
-        """First violated transmission limit, or OK."""
+    def verdict(self, plan: AggregationPlan, bits=None) -> Feasibility:
+        """First violated transmission limit, or OK; ``bits`` as for ``airtime``."""
         cfg = self.config
         if plan.x > cfg.max_mpdus:
             return Feasibility.TOO_MANY_MPDUS
         if plan.y_base + (plan.n_extra > 0) > self.y_cap:
             return Feasibility.MPDU_TOO_LARGE
-        bits = self.psdu_bits(plan.x, plan.total_msdus)
+        if bits is None:
+            bits = self.psdu_bits(plan.x, plan.total_msdus)
         if bits <= self.bit_cap:
             return Feasibility.OK
         if cfg.max_psdu_bytes is not None and bits > 8 * cfg.max_psdu_bytes:

@@ -109,6 +109,8 @@ def run_sweep(
     (see ``params.resolve_config``).  Infeasible points become zero rows
     instead of aborting the sweep.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     tasks = []
     for flavor in grid.flavors:
         config, overhead = resolve_config(flavor, overrides)
@@ -116,7 +118,7 @@ def run_sweep(
             for msdu_len in grid.msdu_lens:
                 for mcs in grid.mcs_for(flavor, len(config.mcs_rates)):
                     tasks.append((flavor, mcs, ber, msdu_len, config, overhead, round_symbols))
-    if workers <= 1:
+    if workers == 1:
         return [_evaluate_point(t) for t in tasks]
     # imported here: the pool pulls in multiprocessing, which a serial sweep
     # and every plain import of the package would otherwise pay for

@@ -72,6 +72,15 @@ def test_xopt_rejects_zero_ber(capsys):
     assert "crossover --reliable" in err
 
 
+@pytest.mark.parametrize("rate", ["-5", "0", "nan", "inf", "-inf"])
+def test_xopt_rejects_a_rate_that_is_not_finite_and_positive(capsys, rate):
+    code, out, err = run_cli(capsys, "xopt", "--ber", "1e-5", f"--rate={rate}")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("aggthru: error: --rate must be finite and > 0")
+    assert err.count("\n") == 1
+
+
 def test_crossover_reliable(capsys):
     code, out, _ = run_cli(capsys, "crossover", "--reliable", "--msdu-len", "1500")
     assert code == 0
@@ -87,6 +96,47 @@ def test_crossover_lossy(capsys):
     payload = json.loads(out)
     assert payload["rate_threshold_mbps"] == pytest.approx(645.0, abs=1.0)
     assert payload["mcs_crossover"] == 2
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("crossover", "--reliable", "--msdu-len", "0"), "msdu_len must be >= 1 byte"),
+        (("crossover", "--reliable", "--msdu-len", "-4"), "msdu_len must be >= 1 byte"),
+        (("sweep", "--workers", "0"), "workers must be >= 1"),
+        (("sweep", "--workers", "-3"), "workers must be >= 1"),
+    ],
+)
+def test_out_of_range_count_is_a_one_line_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"aggthru: error: {message}")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "message,shown",
+    [
+        ("Unable to allocate 351. MiB for an array with shape (46000000,)",
+         "Unable to allocate 351. MiB for an array with shape (46000000,)"),
+        ("", "no detail"),
+    ],
+)
+def test_out_of_memory_is_a_one_line_error(capsys, monkeypatch, message, shown):
+    # huge limits can make the search exhaust memory; stand in for that without allocating
+    import aggthru.cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(aggthru.cli, "optimize_exact", exhausted)
+    code, out, err = run_cli(
+        capsys, "optimize", "--flavor", "ax256", "--mcs", "11", "--ber", "1e-6", "--msdu-len", "64"
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"aggthru: error: out of memory ({shown})\n"
 
 
 def test_crossover_needs_exactly_one_mode(capsys):

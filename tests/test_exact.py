@@ -3,8 +3,9 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from aggthru import geometry
 from aggthru import (
     DEFAULT_OVERHEAD,
     AggregationPlan,
@@ -16,6 +17,7 @@ from aggthru import (
     OverheadConfig,
     ProtocolFlavor,
     Scenario,
+    ThroughputResult,
     cycle_overhead,
     default_config,
     is_feasible,
@@ -300,10 +302,46 @@ def test_results_do_not_depend_on_the_link_cache(round_symbols):
         ):
             if clear:
                 Link._build.cache_clear()
+                geometry._last_link = (None,) * 5
             out.append(repr(call()))
         return out
 
     assert results(clear=True) == results(clear=False)
+
+
+@given(
+    flavor=st.sampled_from(list(ProtocolFlavor)),
+    mcs=st.integers(min_value=0, max_value=11),
+    ber=st.one_of(st.just(0.0), st.floats(min_value=1e-9, max_value=1e-3)),
+    msdu_len=st.integers(min_value=1, max_value=2304),
+    zero_overhead=st.booleans(),
+    round_symbols=st.booleans(),
+    x=st.integers(min_value=1, max_value=300),
+    y_base=st.integers(min_value=0, max_value=12),
+    n_extra=st.integers(min_value=0, max_value=299),
+)
+@example(ProtocolFlavor.AX256, 7, 1e-5, 1500, False, True, 256, 1, 6)  # feasible, two MPDU sizes
+@example(ProtocolFlavor.AX256, 7, 0.0, 1500, True, False, 256, 7, 0)   # over the time limit
+@example(ProtocolFlavor.AC64, 9, 1e-6, 64, False, True, 65, 1, 0)      # too many MPDUs
+def test_kernel_is_the_composition_of_the_link_methods(
+    flavor, mcs, ber, msdu_len, zero_overhead, round_symbols, x, y_base, n_extra,
+):
+    cfg = default_config(flavor)
+    overhead = ZERO_CYCLE_OVERHEAD if zero_overhead else DEFAULT_OVERHEAD
+    sc = Scenario(flavor, mcs % len(cfg.mcs_rates), ber, msdu_len)
+    n_extra %= x
+    plan = AggregationPlan(x, max(y_base, n_extra == 0), n_extra)
+    link = Link.of(sc, cfg, overhead, round_symbols=round_symbols)
+    verdict = link.verdict(plan)
+    if not verdict.ok:
+        with pytest.raises(InfeasiblePlanError) as exc:
+            throughput_exact(plan, sc, cfg, overhead, round_symbols=round_symbols)
+        assert exc.value.verdict is verdict
+        return
+    air = link.airtime(plan)
+    good = link.goodput(plan.x, plan.total_msdus)
+    expected = ThroughputResult(good / air.cycle_time, plan, air, good)
+    assert repr(throughput_exact(plan, sc, cfg, overhead, round_symbols=round_symbols)) == repr(expected)
 
 
 def test_success_probability():

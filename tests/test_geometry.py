@@ -21,6 +21,7 @@ from aggthru import (
     mpdu_bits,
     mpdu_bytes,
     padded_msdu_len,
+    success_probability,
     y_max,
 )
 from aggthru.params import apply_overrides
@@ -243,6 +244,45 @@ def test_link_of_shares_one_link_per_scenario():
     assert same is link
     assert Link.of(sc, AX256, round_symbols=False) is not link
     assert Link._build.cache_info().maxsize is not None
+
+
+def test_link_of_memo_returns_the_link_of_its_arguments():
+    # the memo answers by identity; every call must still get the link its own
+    # arguments build, whatever the call before it was
+    cold = Link._build.__wrapped__
+    a = Scenario(ProtocolFlavor.AX256, 9, 1e-5, 512)
+    same_as_a = Scenario(ProtocolFlavor.AX256, 9, 1e-5, 512)
+    lossless = Scenario(ProtocolFlavor.AX256, 9, 0.0, 512)
+    short = replace(AX256, ppdu_time_limit=2000.0)
+    no_contention = replace(DEFAULT_OVERHEAD, aifs=0.0, backoff=0.0)
+    calls = [
+        (a, AX256, DEFAULT_OVERHEAD, True),
+        (same_as_a, AX256, DEFAULT_OVERHEAD, True),
+        (a, replace(AX256), DEFAULT_OVERHEAD, True),
+        (a, short, DEFAULT_OVERHEAD, True),
+        (a, short, DEFAULT_OVERHEAD, False),
+        (a, short, no_contention, False),
+        (lossless, short, no_contention, False),
+        (lossless, AX256, DEFAULT_OVERHEAD, True),
+    ]
+    for repeat in range(2):
+        for call in calls + calls[::-1]:
+            scenario, config, overhead, round_symbols = call
+            link = Link.of(scenario, config, overhead, round_symbols=round_symbols)
+            assert link == cold(*call)
+            assert Link.of(scenario, config, overhead, round_symbols=round_symbols) is link
+            if repeat:
+                Link._build.cache_clear()
+
+
+@given(
+    ber=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0, exclude_max=True)),
+    msdu_len=st.integers(min_value=1, max_value=2304),
+    y=st.integers(min_value=0, max_value=10**6),
+)
+def test_link_p_is_success_probability(ber, msdu_len, y):
+    link = Link.of(Scenario(ProtocolFlavor.AX256, 9, ber, msdu_len), AX256)
+    assert link.p(y) == success_probability(ber, link.c0 + link.step * y)
 
 
 def test_link_cache_keeps_int_sizes():
