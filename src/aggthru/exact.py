@@ -33,7 +33,7 @@ class NoFeasiblePlanError(ValueError):
     """The scenario admits no transmission at all."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ThroughputResult:
     throughput: float              # Mbps
     plan: AggregationPlan

@@ -87,7 +87,9 @@ def y_max(msdu: MsduSlot, overhead: OverheadConfig, config: ProtocolConfig) -> i
     return budget // msdu.padded_len
 
 
-@dataclass(frozen=True)
+# The kernel builds a plan, an airtime and a result per call: slots make
+# these frozen values cheaper to construct.
+@dataclass(frozen=True, slots=True)
 class AggregationPlan:
     """``x`` MPDUs; ``n_extra`` of them carry ``y_base + 1`` MSDUs, the rest ``y_base``.
 
@@ -122,7 +124,7 @@ class AggregationPlan:
         return tuple(groups)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AirtimeBreakdown:
     """On-air accounting for one transmission cycle."""
 
