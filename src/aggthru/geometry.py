@@ -315,12 +315,13 @@ class Link:
             bits = self.psdu_bits(plan.x, plan.total_msdus)
         symbols = self.symbols(bits)
         data_time = symbols * self.config.symbol_time
+        # positional, in field order: keywords would double the constructor's cost
         return AirtimeBreakdown(
-            psdu_bits=bits,
-            symbols=symbols,
-            data_time=data_time,
-            ppdu_time=self.config.preamble + data_time,
-            cycle_time=self.overhead(plan.x) + data_time,
+            bits,
+            symbols,
+            data_time,
+            self.config.preamble + data_time,   # ppdu_time
+            self.overhead(plan.x) + data_time,  # cycle_time
         )
 
     def verdict(self, plan: AggregationPlan, bits=None) -> Feasibility:
