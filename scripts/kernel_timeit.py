@@ -11,6 +11,7 @@ A process reports the fastest of ``REPEATS`` repeats per timing; the result
 gives each side's median and quartiles over its processes, and with two
 checkouts the AFTER/BEFORE ratio of the medians.  The output is JSON, with
 the git SHA of each checkout, ``nproc`` and the Python and numpy versions.
+Other timing scripts reuse ``compare`` for the same pairs and report.
 """
 from __future__ import annotations
 
@@ -86,10 +87,10 @@ def _child() -> dict:
     return out
 
 
-def _run_child(checkout: Path) -> dict:
+def _run_child(script: Path, checkout: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     proc = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--child"],
+        [sys.executable, str(script), "--child"],
         env=env, cwd=checkout, capture_output=True, text=True, check=True,
     )
     return json.loads(proc.stdout)
@@ -107,17 +108,24 @@ def _summary(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "n": len(values), "values": values}
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+def compare(script, description: str, child, units: dict, argv=None, **context) -> int:
+    """Command-line entry of a timing script: alternating fresh-process pairs.
+
+    ``script --child`` prints ``child()`` as JSON: one number per name of
+    ``units`` (name -> unit) and the numpy version.  ``context`` goes into
+    the report as it is.
+    """
+    script = Path(script).resolve()
+    parser = argparse.ArgumentParser(description=description)
     parser.add_argument("checkouts", nargs="*", type=Path, help="BEFORE [AFTER] (default: this checkout)")
     parser.add_argument("--pairs", type=int, default=5, help="fresh processes per checkout")
     parser.add_argument("--out", type=Path, help="write the JSON here (default: stdout)")
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
-        print(json.dumps(_child()))
+        print(json.dumps(child()))
         return 0
-    checkouts = args.checkouts or [Path(__file__).resolve().parent.parent]
+    checkouts = args.checkouts or [script.parent.parent]
     if len(checkouts) > 2:
         parser.error("give at most two checkouts")
     if args.pairs < 1:
@@ -127,7 +135,7 @@ def main(argv=None) -> int:
     for pair in range(args.pairs):
         order = range(len(checkouts)) if pair % 2 == 0 else reversed(range(len(checkouts)))
         for side in order:
-            runs[side].append(_run_child(checkouts[side]))
+            runs[side].append(_run_child(script, checkouts[side]))
 
     sides = []
     for side, checkout in enumerate(checkouts):
@@ -137,21 +145,21 @@ def main(argv=None) -> int:
             "numpy": runs[side][0]["numpy"],
             "timings": {
                 name: dict(_summary([run[name] for run in runs[side]]), unit=unit)
-                for name, (_, unit) in TIMINGS.items()
+                for name, unit in units.items()
             },
         })
     result = {
-        "script": "scripts/kernel_timeit.py",
+        "script": f"scripts/{script.name}",
         "nproc": len(os.sched_getaffinity(0)),
         "python": sys.version.split()[0],
-        "repeats_per_process": REPEATS,
+        **context,
         "pairs": args.pairs,
         "sides": sides,
     }
     if len(sides) == 2:
         result["after_over_before"] = {
             name: sides[1]["timings"][name]["median"] / sides[0]["timings"][name]["median"]
-            for name in TIMINGS
+            for name in units
         }
     text = json.dumps(result, indent=2) + "\n"
     if args.out:
@@ -159,6 +167,13 @@ def main(argv=None) -> int:
     else:
         sys.stdout.write(text)
     return 0
+
+
+def main(argv=None) -> int:
+    units = {name: unit for name, (_, unit) in TIMINGS.items()}
+    return compare(
+        __file__, __doc__.splitlines()[0], _child, units, argv, repeats_per_process=REPEATS,
+    )
 
 
 if __name__ == "__main__":

@@ -18,15 +18,22 @@ from .geometry import (
     Link,
     success_probability,  # noqa: F401  (part of this module's interface)
 )
-from .params import DEFAULT_OVERHEAD, OverheadConfig, ProtocolConfig, Scenario
+from .params import BA64_FRAMES, DEFAULT_OVERHEAD, OverheadConfig, ProtocolConfig, Scenario
 
 
 class InfeasiblePlanError(ValueError):
-    """The plan violates a transmission limit."""
+    """The plan violates a transmission limit, the ``Feasibility`` it is raised with.
 
-    def __init__(self, verdict: Feasibility):
-        super().__init__(f"infeasible plan: {verdict.value} limit violated")
-        self.verdict = verdict
+    The message is formatted only when read: most raises are caught and
+    discarded (a throughput curve stepping past the limits).
+    """
+
+    @property
+    def verdict(self) -> Feasibility:
+        return self.args[0]
+
+    def __str__(self) -> str:
+        return f"infeasible plan: {self.verdict.value} limit violated"
 
 
 class NoFeasiblePlanError(ValueError):
@@ -66,10 +73,15 @@ def throughput_exact(
     return ThroughputResult(good / air.cycle_time, plan, air, good)
 
 
-# Relative float slack on a segment's upper bound: the bound is exact in real
-# arithmetic but evaluated in floats, so a segment is skipped only when its
-# bound, widened by this factor, still falls below the best value found.
+# Relative float slack on an upper bound: the bound is exact in real
+# arithmetic but evaluated in floats, so a kink or segment is dropped only
+# when its bound, widened by this factor, still falls below the best value found.
 _BOUND_SLACK = 1e-9
+
+
+def _ranges(start, counts):
+    """``start[i], start[i] + 1, ...`` (``counts[i]`` values) for every ``i``, concatenated."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - start, counts)
 
 
 def optimize_exact(
@@ -106,13 +118,38 @@ def optimize_exact(
       ``M`` of a symbol count or at a segment end.  Unrounded airtime never
       exceeds rounded airtime, so the larger unrounded value at a segment's
       two ends bounds every rounded value on it; a segment whose bound falls
-      below the best rounded kink or cap value is not searched
-      (``_BOUND_SLACK`` absorbs float error in the bound).
+      below the best rounded kink or cap value is not searched.
 
-    Every candidate is scored with ``Link.goodput / Link.cycle_time``, the
-    expressions ``throughput_exact`` uses, under the ``Link``'s ``y_cap`` and
-    ``bit_cap``, the limits ``is_feasible`` checks; the lowest ``(x, M)``
-    among the maxima wins.
+    Most kinks cannot reach the best cap, and the search scores only those
+    that can, in three steps (``_BOUND_SLACK`` absorbs float error in every
+    bound):
+
+    1. Every cap ``(x, M_max(x))`` is scored; ``best`` is the largest value.
+    2. Within one block-ack regime (``x <= BA64_FRAMES`` or above), the
+       uniform kink of ``x`` MPDUs of ``y`` MSDUs has the unrounded value
+       ``U(x) = a*x / (o + b*x)``, with ``a = payload*v(y)``,
+       ``b = C(y)*T_sym/per_symbol`` and ``o`` the regime's per-cycle
+       overhead plus ``tail*T_sym/per_symbol``.  ``U`` never falls as ``x``
+       grows, so the kinks whose ``U`` reaches ``best`` form one interval of
+       ``x`` per ``y`` and regime, up to the widest kink that fits.  Its
+       lower end, ``best*o / (a - best*b)``, is taken with twice the slack,
+       so float error cannot drop a kink that reaches ``best``.  Only these
+       kinks are scored.
+    3. With rounding, a segment is searched when its bound reaches the best
+       kink or cap value, i.e. when the float ``U`` of one of its ends does;
+       only a scored kink or a cap can be such an end.
+
+    Why this is exact: the rounded value never exceeds the unrounded one (a
+    ceiling only lengthens the airtime, also in floats), so a kink left out
+    scores strictly below ``best``.  It can neither win nor tie, the best
+    kink or cap value is unchanged, and it never makes a segment searched.
+    The segments searched, the candidates that can reach the maximum and
+    hence the tie-break are the same as when every kink is scored.
+
+    Every candidate is scored with ``Link.goodput / Link.cycle_time`` (or
+    ``Link.scores``, the same expressions), as ``throughput_exact`` scores a
+    plan, under the ``Link``'s ``y_cap`` and ``bit_cap``, the limits
+    ``is_feasible`` checks; the lowest ``(x, M)`` among the maxima wins.
     """
     link = Link.of(scenario, config, overhead, round_symbols=round_symbols)
     c0, step, bit_cap = link.c0, link.step, link.bit_cap
@@ -124,34 +161,59 @@ def optimize_exact(
 
     # v(y) for y = 0..ym+1; index ym+1 exists only so lookups stay in bounds
     # (it is always multiplied by a zero count)
-    v = np.array([link.v(y) for y in range(ym + 2)]).take
+    v = link.v_table(ym + 2).take
+    slack = 1.0 + _BOUND_SLACK
 
-    # per x, the kinks M = x*y for y = 1..M_max//x, then the cap M_max;
-    # consecutive points of one x bound a segment
+    # 1. the cap M_max(x) of every x
     xs = np.arange(1, x_cap + 1, dtype=np.int64)
     m_max = np.minimum(xs * ym, (bit_cap - c0 * xs) // step)
-    per_x = m_max // xs + 1
-    px = np.repeat(xs, per_x)
-    j = np.arange(1, px.size + 1) - np.repeat(np.cumsum(per_x) - per_x, per_x)
-    pm = np.minimum(px * j, np.repeat(m_max, per_x))
-    good = link.goodput(px, pm, v)
-    cand_x, cand_m, cand_thr = [px], [pm], [good / link.cycle_time(px, pm)]
+    cap_thr, cap_u = link.scores(xs, m_max, v)
+    best = cap_thr.max()
+
+    # 2. per y (rows) and block-ack regime (columns), the x from the closed-form
+    # lower end up to the widest uniform plan of y
+    ys = np.arange(1, ym + 1, dtype=np.int64)
+    c = c0 + step * ys
+    x_top = np.minimum(x_cap, bit_cap // c)[:, None]
+    t_bit = config.symbol_time / link.per_symbol
+    tail_time = link.tail_bits * t_bit
+    best_o = (best * (link.overhead_ba64 + tail_time), best * (link.overhead_full + tail_time))
+    # a*(1 + 2*slack) - best*b; where it is not positive no kink reaches a
+    # positive best, while a zero best is reached by every kink
+    d = (v(ys) * (link.payload_bits * (slack + _BOUND_SLACK)) - (best * t_bit) * c)[:, None]
+    x_lo = best_o / np.where(d > 0, d, np.nan if best > 0 else np.inf)
+    lo = np.maximum((1, BA64_FRAMES + 1), np.fmin(x_lo, x_top + 1).astype(np.int64))
+    counts = np.maximum(0, np.minimum((BA64_FRAMES, x_cap), x_top) - lo + 1)
+    kx = _ranges(lo.ravel(), counts.ravel())
+    ky = np.repeat(ys, counts.sum(axis=1))
+    km = kx * ky
+    k_thr, ku = link.scores(kx, km, v)
+    cand_x, cand_m, cand_thr = [xs, kx], [m_max, km], [cap_thr, k_thr]
 
     if round_symbols:
-        bound = good / link.cycle_time(px, pm, rounded=False)
-        bound = np.maximum(bound[:-1], bound[1:]) * (1.0 + _BOUND_SLACK)
-        sx, lo, hi = px[:-1], pm[:-1], pm[1:]
-        y = lo // sx
-        searched = (
-            (px[1:] == sx) & (hi - lo > 1) & (v(y + 1) > v(y))
-            & (bound >= cand_thr[0].max())
-        )
+        # 3. a segment's bound is the better unrounded value of its two ends,
+        # so a segment is searched only if one end reaches the best kink or
+        # cap value; segment (x, y) runs from M = x*y to the next kink or the cap
+        reach = k_thr.max(initial=best)
+        k_end = ku * slack >= reach
+        key = kx * (ym + 1) + ky
+        key = np.sort(np.concatenate((
+            key[k_end],                                              # from a kink
+            key[k_end & (ky > 1)] - 1,                               # to a kink
+            (xs * (ym + 1) + m_max // xs)[cap_u * slack >= reach],   # to a cap
+        )))
+        first = np.ones(key.size, dtype=bool)
+        first[1:] = key[1:] != key[:-1]
+        sx, y = np.divmod(key[first], ym + 1)
+        lo = sx * y
+        hi = np.minimum(lo + sx, m_max[sx - 1])
+        searched = (hi - lo > 1) & (v(y + 1) > v(y))
         sx, lo, hi = sx[searched], lo[searched], hi[searched]
         # one candidate per symbol count s the segment spans: the last M that fits s
         s_lo = link.symbols(link.psdu_bits(sx, lo)).astype(np.int64)
         counts = link.symbols(link.psdu_bits(sx, hi)).astype(np.int64) - s_lo
         rx = np.repeat(sx, counts)
-        s = np.arange(rx.size) - np.repeat(np.cumsum(counts) - counts - s_lo, counts)
+        s = _ranges(s_lo, counts)
         m = np.floor((s * link.per_symbol - link.tail_bits - c0 * rx) / step).astype(np.int64)
         # settle float error against the expression the score uses
         m += link.symbols(link.psdu_bits(rx, m + 1)) <= s

@@ -161,10 +161,12 @@ class Link:
     Padded MSDUs are 4-byte aligned, so an MPDU of ``y`` MSDUs has
     ``C(y) = c0 + step*y`` bits and a balanced plan of ``x`` MPDUs and
     ``m`` MSDUs a PSDU of ``c0*x + step*m`` bits.  ``psdu_bits``,
-    ``cycle_time`` and ``goodput`` are the only copy of the cycle model;
-    they take ints or numpy arrays alike.  ``verdict`` and the optimizer both
-    check a plan against ``y_cap`` and ``bit_cap``, the largest PSDU within
-    the byte and time limits.  ``Link.of`` caches one per scenario for all callers.
+    ``cycle_time`` and ``goodput`` are the only copy of the cycle model
+    (``scores`` takes the cycle time in both symbol modes at once, for the
+    optimizer); they take ints or numpy arrays alike.  ``verdict`` and the
+    optimizer both check a plan against ``y_cap`` and ``bit_cap``, the
+    largest PSDU within the byte and time limits.  ``Link.of`` caches one
+    per scenario for all callers.
     """
 
     config: ProtocolConfig
@@ -247,13 +249,22 @@ class Link:
     @cached_property
     def bit_cap(self) -> int:
         """Largest PSDU [bits] within ``max_psdu_bytes`` and the time limit (< 0: none)."""
-        # within_time_limit is monotone in bits: bisect it, with lo within the
-        # limit (-1 stands for no PSDU at all) and hi beyond it
+        # start from the closed form, floor((limit - preamble) / symbol_time)
+        # symbols (whole ones when rounding) less the tail bits, and settle it
+        # against within_time_limit, which is monotone in bits: step out 1, 2,
+        # 4, ... bits until lo is within the limit (-1 stands for no PSDU at
+        # all) and hi beyond it, then bisect
         cfg = self.config
-        span = cfg.ppdu_time_limit - cfg.preamble
-        lo, hi = -1, 1 + max(0, int(self.per_symbol / cfg.symbol_time * span))
+        span = (cfg.ppdu_time_limit - cfg.preamble) / cfg.symbol_time
+        if self.round_symbols:
+            span = math.floor(span)
+        lo = max(-1, math.floor(span * self.per_symbol) - self.tail_bits)
+        hi, gap = lo + 1, 1
+        while lo >= 0 and not self.within_time_limit(lo):
+            lo, hi, gap = max(-1, lo - gap), lo, 2 * gap
+        gap = 1
         while self.within_time_limit(hi):
-            lo, hi = hi, 2 * hi
+            lo, hi, gap = hi, hi + gap, 2 * gap
         while hi - lo > 1:
             mid = (lo + hi) // 2
             if self.within_time_limit(mid):
@@ -275,6 +286,11 @@ class Link:
     def v(self, y: int) -> float:
         """Expected MSDUs delivered by an MPDU of ``y`` MSDUs."""
         return y * self.p(y)
+
+    def v_table(self, n: int) -> np.ndarray:
+        """``v(y)`` for ``y = 0..n-1``, each the same double ``v(y)`` returns."""
+        c0, step, log_q = self.c0, self.step, self.log_q
+        return np.array([y * math.exp((c0 + step * y) * log_q) for y in range(n)])
 
     def psdu_bits(self, x, m):
         """PSDU size of ``x`` MPDUs carrying ``m`` MSDUs [bits]."""
@@ -308,6 +324,20 @@ class Link:
         if isinstance(n, np.ndarray) or n:
             return self.payload_bits * (n * v(y + 1) + (x - n) * v(y))
         return self.payload_bits * (x * v(y))
+
+    def scores(self, x, m, v=None):
+        """``goodput / cycle_time`` of ``x`` MPDUs carrying ``m`` MSDUs [Mbps], and its bound.
+
+        The bound is the same ratio with unrounded symbols, which never
+        exceeds the rounded airtime; ``v`` as for ``goodput``.
+        """
+        good = self.goodput(x, m, v)
+        overhead = self.overhead(x)
+        raw = self.symbols(self.psdu_bits(x, m), rounded=False)
+        bound = good / (overhead + raw * self.config.symbol_time)
+        if not self.round_symbols:
+            return bound, bound
+        return good / (overhead + np.ceil(raw) * self.config.symbol_time), bound
 
     def airtime(self, plan: AggregationPlan, bits=None) -> AirtimeBreakdown:
         """Airtime of ``plan``, whose PSDU bits a caller may pass in if it has them."""

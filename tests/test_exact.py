@@ -1,6 +1,10 @@
 import math
+import pickle
 import random
+import tracemalloc
 from dataclasses import replace
+
+import numpy as np
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -62,6 +66,14 @@ def test_infeasible_plan_names_limit():
         throughput_exact(AggregationPlan(65, 7, 0), sc, AC)
     with pytest.raises(InfeasiblePlanError, match="ppdu_time_limit"):
         throughput_exact(AggregationPlan(64, 7, 0), Scenario(ProtocolFlavor.AC64, 0, 0.0, 1500), AC)
+
+
+def test_infeasible_plan_error_carries_its_verdict():
+    err = InfeasiblePlanError(geometry.Feasibility.PSDU_TOO_LARGE)
+    assert err.verdict is geometry.Feasibility.PSDU_TOO_LARGE
+    assert str(err) == "infeasible plan: max_psdu_bytes limit violated"
+    copy = pickle.loads(pickle.dumps(err))
+    assert (copy.verdict, str(copy)) == (err.verdict, str(err))
 
 
 def test_throughput_strictly_decreasing_in_ber():
@@ -268,6 +280,91 @@ def test_optimizer_lifted_window_optima(ber, plan):
     # the window criterion 6 compares with the closed form
     lifted = replace(AX256, max_mpdus=10**6, back64_duration=AX256.back_duration)
     assert optimize_exact(Scenario(ProtocolFlavor.AX256, 11, ber, 64), lifted).plan == plan
+
+
+def _exhaustive_scan(scenario, config, overhead, *, round_symbols):
+    """Best balanced plan over every (x, M), scored with ``Link.goodput / Link.cycle_time``.
+
+    Every x up to the window and every M from x to x * y_cap whose PSDU fits
+    ``bit_cap``, one numpy pass per x; ties break toward fewer MPDUs, then
+    fewer MSDUs.  Returns (throughput, plan).
+    """
+    link = Link.of(scenario, config, overhead, round_symbols=round_symbols)
+    v = np.array([link.v(y) for y in range(link.y_cap + 2)]).take
+    best = (-math.inf, None)
+    for x in range(1, config.max_mpdus + 1):
+        m = np.arange(x, x * link.y_cap + 1)
+        m = m[link.psdu_bits(x, m) <= link.bit_cap]
+        if not m.size:
+            break   # the budget only shrinks as x grows
+        thr = link.goodput(x, m, v) / link.cycle_time(x, m)
+        i = int(thr.argmax())   # the first maximum: the fewest MSDUs
+        if thr[i] > best[0]:
+            best = (float(thr[i]), AggregationPlan(x, int(m[i]) // x, int(m[i]) % x))
+    return best
+
+
+@pytest.mark.parametrize("round_symbols", [True, False])
+@pytest.mark.parametrize(
+    "flavor,mcs,ber,msdu_len,quiet",
+    [
+        (ProtocolFlavor.AX256, 0, 0.0, 64, False),
+        (ProtocolFlavor.AX256, 11, 1e-5, 64, False),
+        (ProtocolFlavor.AX256, 11, 1e-7, 64, False),
+        (ProtocolFlavor.AX256, 11, 0.0, 1500, False),
+        (ProtocolFlavor.AX64, 11, 1e-6, 64, False),
+        (ProtocolFlavor.AC64, 0, 1e-7, 64, False),
+        (ProtocolFlavor.AC64, 3, 1e-7, 512, False),
+        (ProtocolFlavor.AX256, 1, 1e-7, 64, True),
+        (ProtocolFlavor.AX256, 0, 1e-7, 512, True),
+    ],
+)
+def test_optimizer_matches_exhaustive_scan_at_default_windows(
+    flavor, mcs, ber, msdu_len, quiet, round_symbols,
+):
+    # the brute-force oracles stop at small windows; this scan covers the
+    # default windows, the 64-frame block-ack step and every kink the
+    # optimizer leaves unscored.  A quiet channel has no contention,
+    # preamble or 64-frame block ack, so many plans nearly tie.
+    config = default_config(flavor)
+    overhead = DEFAULT_OVERHEAD
+    if quiet:
+        config = replace(config, preamble=0.0, back64_duration=0.0)
+        overhead = ZERO_CYCLE_OVERHEAD
+    scenario = Scenario(flavor, mcs, ber, msdu_len)
+    expected_thr, expected_plan = _exhaustive_scan(scenario, config, overhead, round_symbols=round_symbols)
+    res = optimize_exact(scenario, config, overhead, round_symbols=round_symbols)
+    assert res.plan == expected_plan
+    assert res.throughput == expected_thr
+
+
+def test_optimizer_ties_at_zero_pick_the_smallest_plan():
+    # every MPDU is lost (its success probability underflows to 0.0), so every
+    # plan ties at zero and the tie-break alone picks one MPDU of one MSDU
+    res = optimize_exact(Scenario(ProtocolFlavor.AX256, 0, 0.5, 2304), AX256)
+    assert (res.plan, res.throughput) == (AggregationPlan(1, 1, 0), 0.0)
+
+
+@pytest.mark.parametrize(
+    "ppdu_time_limit,peak_mb,plan",
+    [
+        (1e5, 64, AggregationPlan(28352, 26, 54)),
+        (1e6, 128, AggregationPlan(283709, 26, 32)),
+    ],
+)
+def test_optimizer_memory_stays_bounded_at_huge_limits(ppdu_time_limit, peak_mb, plan):
+    # a search that enumerated every kink M = x*y allocated about 365 MB at
+    # the 1e5-us limit and 2.4 GB at 1e6 us; the bound is on memory, not time
+    config = replace(AX256, ppdu_time_limit=ppdu_time_limit, max_mpdus=10**6)
+    scenario = Scenario(ProtocolFlavor.AX256, 11, 1e-6, 64)
+    tracemalloc.start()
+    try:
+        res = optimize_exact(scenario, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.plan == plan
+    assert peak < peak_mb * 1e6
 
 
 def test_optimizer_no_feasible_plan():

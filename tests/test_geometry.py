@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -223,6 +224,12 @@ def test_flavor_mismatch_rejected():
     x=st.integers(min_value=1, max_value=256),
     y=st.integers(min_value=1, max_value=20),
 )
+@example(ProtocolFlavor.AX256, 11, 64, 1e6, True, 1, 1)       # huge limits
+@example(ProtocolFlavor.AX256, 11, 64, 1e9, False, 1, 1)
+@example(ProtocolFlavor.AC64, 0, 1500, AC.preamble + 100 * AC.symbol_time, True, 1, 1)  # on a symbol
+@example(ProtocolFlavor.AC64, 9, 1500, AC.preamble - 1.0, True, 1, 1)  # no PSDU fits
+@example(ProtocolFlavor.AX64, 10, 64, 2784.8, True, 1, 1)     # the closed form overshoots by a bit
+@example(ProtocolFlavor.AX64, 10, 64, 2784.8, False, 1, 1)
 def test_link_time_limit_matches_airtime(flavor, mcs, msdu_len, ppdu_time_limit, round_symbols, x, y):
     # the verdict's time check and the optimizer's bit budget agree with the
     # PPDU time the airtime reports
@@ -235,6 +242,36 @@ def test_link_time_limit_matches_airtime(flavor, mcs, msdu_len, ppdu_time_limit,
     if cap >= 0:
         assert link.within_time_limit(cap)
     assert not link.within_time_limit(cap + 1)
+
+
+@pytest.mark.parametrize("ber", [0.0, 1e-6, 1e-3, 0.5])
+def test_v_table_holds_v(ber):
+    link = Link.of(Scenario(ProtocolFlavor.AX256, 11, ber, 64), AX256)
+    assert link.v_table(150).tolist() == [link.v(y) for y in range(150)]
+
+
+@given(
+    flavor=st.sampled_from(list(ProtocolFlavor)),
+    mcs=st.integers(min_value=0, max_value=11),
+    ber=st.one_of(st.just(0.0), st.floats(min_value=1e-8, max_value=1e-2)),
+    msdu_len=st.integers(min_value=1, max_value=2304),
+    round_symbols=st.booleans(),
+    plans=st.lists(
+        st.tuples(st.integers(min_value=1, max_value=300), st.integers(min_value=0, max_value=20)),
+        min_size=1, max_size=20,
+    ),
+)
+def test_scores_are_goodput_over_cycle_time(flavor, mcs, ber, msdu_len, round_symbols, plans):
+    cfg = default_config(flavor)
+    link = Link.of(Scenario(flavor, mcs % len(cfg.mcs_rates), ber, msdu_len), cfg, round_symbols=round_symbols)
+    x = np.array([x for x, _ in plans])
+    m = np.array([x * y + (y % x) for x, y in plans])
+    v = link.v_table(int((m // x).max()) + 2).take
+    value, bound = link.scores(x, m, v)
+    good = link.goodput(x, m, v)
+    assert value.tolist() == (good / link.cycle_time(x, m)).tolist()
+    assert bound.tolist() == (good / link.cycle_time(x, m, rounded=False)).tolist()
+    assert (bound >= value).all()
 
 
 def test_link_of_shares_one_link_per_scenario():
