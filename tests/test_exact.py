@@ -5,7 +5,6 @@ import tracemalloc
 from dataclasses import replace
 
 import numpy as np
-
 import pytest
 from hypothesis import example, given, settings, strategies as st
 

@@ -228,7 +228,7 @@ def test_flavor_mismatch_rejected():
 @example(ProtocolFlavor.AX256, 11, 64, 1e9, False, 1, 1)
 @example(ProtocolFlavor.AC64, 0, 1500, AC.preamble + 100 * AC.symbol_time, True, 1, 1)  # on a symbol
 @example(ProtocolFlavor.AC64, 9, 1500, AC.preamble - 1.0, True, 1, 1)  # no PSDU fits
-@example(ProtocolFlavor.AX64, 10, 64, 2784.8, True, 1, 1)     # the closed form overshoots by a bit
+@example(ProtocolFlavor.AX64, 10, 64, 2784.8, True, 1, 1)     # the closed form overshoots by one bit
 @example(ProtocolFlavor.AX64, 10, 64, 2784.8, False, 1, 1)
 def test_link_time_limit_matches_airtime(flavor, mcs, msdu_len, ppdu_time_limit, round_symbols, x, y):
     # the verdict's time check and the optimizer's bit budget agree with the
