@@ -180,7 +180,7 @@ def optimize_exact(
     best_o = (best * (link.overhead_ba64 + tail_time), best * (link.overhead_full + tail_time))
     # d = a*(1 + 2*_BOUND_SLACK) - best*b; where it is not positive no kink
     # reaches a positive best, while a zero best is reached by every kink
-    d = (v(ys) * (link.payload_bits * (slack + _BOUND_SLACK)) - (best * t_bit) * c)[:, None]
+    d = (v(ys) * (link.payload_bits * (1.0 + 2 * _BOUND_SLACK)) - (best * t_bit) * c)[:, None]
     x_lo = best_o / np.where(d > 0, d, np.nan if best > 0 else np.inf)
     lo = np.maximum((1, BA64_FRAMES + 1), np.fmin(x_lo, x_top + 1).astype(np.int64))
     counts = np.maximum(0, np.minimum((BA64_FRAMES, x_cap), x_top) - lo + 1)
