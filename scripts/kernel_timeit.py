@@ -88,7 +88,8 @@ def _child() -> dict:
 
 
 def _run_child(script: Path, checkout: Path) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    # absolute: the child runs with the checkout as its working directory
+    env = dict(os.environ, PYTHONPATH=str(checkout.resolve() / "src"))
     proc = subprocess.run(
         [sys.executable, str(script), "--child"],
         env=env, cwd=checkout, capture_output=True, text=True, check=True,

@@ -36,7 +36,6 @@ from .geometry import (
     is_feasible,
     mpdu_bits,
     mpdu_bytes,
-    padded_msdu_len,
     success_probability,
     y_max,
 )

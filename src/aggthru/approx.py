@@ -12,14 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .geometry import MsduSlot, mpdu_bytes, padded_msdu_len, success_probability, y_max
-from .params import (
-    DEFAULT_OVERHEAD,
-    OverheadConfig,
-    ProtocolConfig,
-    cycle_overhead,
-    phy_rate,
-)
+from .geometry import MsduSlot, mpdu_bytes, success_probability, y_max
+from .params import DEFAULT_OVERHEAD, OverheadConfig, ProtocolConfig, cycle_overhead
 
 
 @dataclass(frozen=True)
@@ -54,18 +48,13 @@ class ContinuousScenario:
         *,
         ber: float,
         msdu_len: int,
-        mcs: Optional[int] = None,
-        rate: Optional[float] = None,
+        rate: float,
     ) -> "ContinuousScenario":
-        if (mcs is None) == (rate is None):
-            raise ValueError("give exactly one of mcs or rate")
-        if rate is None:
-            rate = phy_rate(config, mcs)
         return cls(
             rate=rate,
             ber=ber,
             msdu_len=msdu_len,
-            padded_len=padded_msdu_len(msdu_len, overhead),
+            padded_len=MsduSlot.for_payload(msdu_len, overhead).padded_len,
             t_limit=config.ppdu_time_limit,
             preamble=config.preamble,
             o_m_bits=8 * overhead.mpdu_overhead_bytes,
@@ -91,24 +80,11 @@ def y_from_x(x: float, scenario: ContinuousScenario) -> float:
 
 
 def throughput_on_budget(x: float, scenario: ContinuousScenario) -> float:
-    """Continuous throughput of ``x`` budget-filling MPDUs [Mbps].
-
-    Equals ``throughput_approx(x, y_from_x(x))``; the airtime is constant
-    because every such plan spends the whole time budget.
-    """
-    y = y_from_x(x, scenario)
-    mpdu_bits = scenario.o_m_bits + 8.0 * y * scenario.padded_len
-    p = success_probability(scenario.ber, mpdu_bits)
-    good = 8.0 * x * y * scenario.msdu_len * p
-    return good / (scenario.cycle_overhead - scenario.preamble + scenario.t_limit)
+    """Continuous throughput of ``x`` budget-filling MPDUs [Mbps]."""
+    return throughput_approx(x, y_from_x(x, scenario), scenario)
 
 
-def x_opt_coefficient(
-    ber: float,
-    o_m_bits: int = 8 * DEFAULT_OVERHEAD.mpdu_overhead_bytes,
-    t_limit: float = 5400.0,
-    preamble: float = 64.8,
-) -> float:
+def x_opt_coefficient(ber: float, o_m_bits: int, t_limit: float, preamble: float) -> float:
     """Optimal MPDU count per Mbps of PHY rate, for a lossy channel.
 
     With a = per-MPDU overhead bits, b = ln(1 - BER) and D = R (T - Pr),

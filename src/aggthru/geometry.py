@@ -40,12 +40,6 @@ def success_probability(ber: float, bits) -> float:
     return math.exp(bits * math.log1p(-ber))
 
 
-def padded_msdu_len(payload_len: int, overhead: OverheadConfig = DEFAULT_OVERHEAD) -> int:
-    """Subheader-prefixed MSDU size rounded up to a 4-byte boundary [bytes]."""
-    raw = payload_len + overhead.msdu_subheader
-    return 4 * ((raw + 3) // 4)
-
-
 @dataclass(frozen=True)
 class MsduSlot:
     """An MSDU payload together with its padded on-air size."""
@@ -55,7 +49,8 @@ class MsduSlot:
 
     @classmethod
     def for_payload(cls, payload_len: int, overhead: OverheadConfig = DEFAULT_OVERHEAD) -> "MsduSlot":
-        return cls(payload_len, padded_msdu_len(payload_len, overhead))
+        raw = payload_len + overhead.msdu_subheader
+        return cls(payload_len, 4 * ((raw + 3) // 4))
 
 
 def mpdu_bytes(y: int, msdu: MsduSlot, overhead: OverheadConfig = DEFAULT_OVERHEAD) -> int:

@@ -36,10 +36,8 @@ class ProtocolFlavor(enum.Enum):
 
 
 # Numeric fields by kind; each can be overridden by name (see apply_overrides).
-_PROTOCOL_FLOAT_FIELDS = (
-    "symbol_time", "preamble", "guard_interval", "ppdu_time_limit", "back_duration", "back64_duration",
-)
-_PROTOCOL_INT_FIELDS = ("spatial_streams", "max_mpdus", "max_mpdu_bytes")
+_PROTOCOL_FLOAT_FIELDS = ("symbol_time", "preamble", "ppdu_time_limit", "back_duration", "back64_duration")
+_PROTOCOL_INT_FIELDS = ("max_mpdus", "max_mpdu_bytes")
 _OVERHEAD_FLOAT_FIELDS = ("aifs", "backoff", "sifs")
 _OVERHEAD_INT_FIELDS = ("mpdu_delimiter", "mac_header", "fcs", "msdu_subheader", "service_tail_bits")
 
@@ -63,13 +61,18 @@ AX_MCS_RATES = (288.0, 576.0, 864.0, 1152.0, 1729.0, 2305.0, 2594.0, 2882.0, 345
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Per-flavor PHY/MAC constants."""
+    """Per-flavor PHY/MAC constants.
+
+    The channel width, the number of spatial streams and the guard interval
+    reach the model only through ``symbol_time``, ``preamble`` and
+    ``mcs_rates``; the defaults hold the values for 160 MHz, 4 streams and a
+    0.8 us guard interval.  Another guard interval or stream count is
+    modelled by overriding those three.
+    """
 
     flavor: ProtocolFlavor
     symbol_time: float            # OFDM symbol incl. guard interval [us]
     preamble: float               # PHY preamble [us]
-    spatial_streams: int
-    guard_interval: float         # [us]
     max_mpdus: int                # A-MPDU frame-count cap (ack window size)
     max_mpdu_bytes: int
     max_psdu_bytes: Optional[int]  # None = no A-MPDU byte cap
@@ -144,54 +147,28 @@ _AX_PREAMBLE = 64.8
 _AC_PREAMBLE = 52.0
 
 
+# Every flavor's default; one row per flavor, then the values all three share.
+_FLAVOR_FIELDS = ("symbol_time", "preamble", "max_mpdus", "max_psdu_bytes", "back_duration", "mcs_rates")
+_FLAVOR_DEFAULTS = {
+    ProtocolFlavor.AC64: (4.0, _AC_PREAMBLE, 64, 1048575, 31.0, AC_MCS_RATES),
+    ProtocolFlavor.AX64: (13.6, _AX_PREAMBLE, 64, None, 31.0, AX_MCS_RATES),
+    ProtocolFlavor.AX256: (13.6, _AX_PREAMBLE, 256, None, 39.0, AX_MCS_RATES),
+}
+_SHARED_DEFAULTS = {"max_mpdu_bytes": 11454, "ppdu_time_limit": 5400.0, "back64_duration": 31.0}
+
+
 def default_config(flavor: ProtocolFlavor) -> ProtocolConfig:
-    """Baseline configuration: 160 MHz, 4 spatial streams, 0.8 us GI."""
-    if flavor is ProtocolFlavor.AC64:
-        return ProtocolConfig(
-            flavor=flavor,
-            symbol_time=4.0,
-            preamble=_AC_PREAMBLE,
-            spatial_streams=4,
-            guard_interval=0.8,
-            max_mpdus=64,
-            max_mpdu_bytes=11454,
-            max_psdu_bytes=1048575,
-            ppdu_time_limit=5400.0,
-            back_duration=31.0,
-            back64_duration=31.0,
-            mcs_rates=AC_MCS_RATES,
-        )
-    if flavor is ProtocolFlavor.AX64:
-        return ProtocolConfig(
-            flavor=flavor,
-            symbol_time=13.6,
-            preamble=_AX_PREAMBLE,
-            spatial_streams=4,
-            guard_interval=0.8,
-            max_mpdus=64,
-            max_mpdu_bytes=11454,
-            max_psdu_bytes=None,
-            ppdu_time_limit=5400.0,
-            back_duration=31.0,
-            back64_duration=31.0,
-            mcs_rates=AX_MCS_RATES,
-        )
-    if flavor is ProtocolFlavor.AX256:
-        return ProtocolConfig(
-            flavor=flavor,
-            symbol_time=13.6,
-            preamble=_AX_PREAMBLE,
-            spatial_streams=4,
-            guard_interval=0.8,
-            max_mpdus=256,
-            max_mpdu_bytes=11454,
-            max_psdu_bytes=None,
-            ppdu_time_limit=5400.0,
-            back_duration=39.0,
-            back64_duration=31.0,
-            mcs_rates=AX_MCS_RATES,
-        )
-    raise ValueError(f"unknown flavor: {flavor!r}")
+    """Baseline configuration: 160 MHz, 4 spatial streams, 0.8 us GI.
+
+    The streams and the guard interval are folded into ``symbol_time``,
+    ``preamble`` and ``mcs_rates``; override those three to model another
+    guard interval or stream count.
+    """
+    try:
+        row = _FLAVOR_DEFAULTS[flavor]
+    except KeyError:
+        raise ValueError(f"unknown flavor: {flavor!r}") from None
+    return ProtocolConfig(flavor=flavor, **dict(zip(_FLAVOR_FIELDS, row)), **_SHARED_DEFAULTS)
 
 
 def phy_rate(config: ProtocolConfig, mcs: int) -> float:
@@ -330,10 +307,8 @@ def apply_overrides(
             else:
                 cfg_kw[key] = _coerce(key, value, int) if value is not None else None
         elif key == "mcs_rates":
-            if isinstance(value, str):
-                cfg_kw[key] = tuple(float(v) for v in value.split(",") if v.strip())
-            else:
-                cfg_kw[key] = tuple(float(v) for v in value)
+            items = [v for v in value.split(",") if v.strip()] if isinstance(value, str) else value
+            cfg_kw[key] = tuple(_coerce(key, v, float) for v in items)
         elif key in _OVERHEAD_FLOAT_FIELDS:
             ovh_kw[key] = _coerce(key, value, float)
         elif key in _OVERHEAD_INT_FIELDS:

@@ -150,7 +150,7 @@ def test_criterion_06_continuous_exact_consistency():
         row = []
         for mcs in range(len(AX256.mcs_rates)):
             scenario = Scenario(ProtocolFlavor.AX256, mcs, ber, 64)
-            cs = ContinuousScenario.from_config(lifted, ber=ber, msdu_len=64, mcs=mcs)
+            cs = ContinuousScenario.from_config(lifted, ber=ber, msdu_len=64, rate=phy_rate(lifted, mcs))
             x_exact = optimize_exact(scenario, lifted).plan.x
             delta = x_exact - round(x_opt_closed_form(cs))
             row.append(delta)

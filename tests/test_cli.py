@@ -154,6 +154,9 @@ def test_crossover_needs_exactly_one_mode(capsys):
         ("mcs_rates = -5, 10", "mcs_rates"),
         ("ppdu_time_limit = nan", "ppdu_time_limit"),
         ("backoff = inf", "backoff"),
+        ("guard_interval = 3.2", "guard_interval"),
+        ("spatial_streams = 2", "spatial_streams"),
+        ("mcs_rates = 100, x", "mcs_rates"),
     ],
 )
 def test_bad_override_is_a_one_line_error(capsys, tmp_path, override, field):

@@ -21,7 +21,6 @@ from aggthru import (
     is_feasible,
     mpdu_bits,
     mpdu_bytes,
-    padded_msdu_len,
     success_probability,
     y_max,
 )
@@ -34,12 +33,12 @@ AX256 = default_config(ProtocolFlavor.AX256)
 
 @pytest.mark.parametrize("payload,padded", [(1500, 1516), (64, 80), (512, 528), (1, 16)])
 def test_padding_examples(payload, padded):
-    assert padded_msdu_len(payload) == padded
+    assert MsduSlot.for_payload(payload).padded_len == padded
 
 
 @given(st.integers(min_value=1, max_value=20000))
 def test_padding_properties(payload):
-    padded = padded_msdu_len(payload)
+    padded = MsduSlot.for_payload(payload).padded_len
     assert padded % 4 == 0
     assert 0 <= padded - (payload + 14) <= 3
 

@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from aggthru import (
     AC_MCS_RATES,
     AX_MCS_RATES,
     DEFAULT_OVERHEAD,
+    Link,
     OverheadConfig,
     ProtocolConfig,
     ProtocolFlavor,
@@ -17,6 +18,7 @@ from aggthru import (
     block_ack_duration,
     cycle_overhead,
     default_config,
+    optimize_exact,
     parse_override_text,
     phy_rate,
     resolve_config,
@@ -40,8 +42,6 @@ def test_default_constants():
     for cfg in (ac, ax64, ax256):
         assert cfg.max_mpdu_bytes == 11454
         assert cfg.ppdu_time_limit == 5400.0
-        assert cfg.spatial_streams == 4
-        assert cfg.guard_interval == 0.8
     assert ac.mcs_rates == AC_MCS_RATES
     assert ax64.mcs_rates == ax256.mcs_rates == AX_MCS_RATES
 
@@ -119,7 +119,7 @@ def test_back64_duration_overrides_and_round_trip():
 def test_preamble_gap_is_per_stream_ltf():
     ax = default_config(ProtocolFlavor.AX256)
     ac = default_config(ProtocolFlavor.AC64)
-    assert ax.preamble - ac.preamble == pytest.approx(ax.spatial_streams * 3.2, abs=1e-12)
+    assert ax.preamble - ac.preamble == pytest.approx(4 * 3.2, abs=1e-12)
 
 
 @pytest.mark.parametrize("flavor", ALL_FLAVORS)
@@ -235,6 +235,50 @@ def test_resolve_config():
     assert resolve_config(ProtocolFlavor.AX64) == (default_config(ProtocolFlavor.AX64), DEFAULT_OVERHEAD)
     cfg, ovh = resolve_config(ProtocolFlavor.AX64, {"sifs": "10", "max_mpdus": "32"})
     assert (cfg.max_mpdus, ovh.sifs) == (32, 10.0)
+
+
+# One override per key, each a value that some derived quantity must follow:
+# at ax256, MCS 7, BER 1e-5 and 1500-byte MSDUs the optimum fills the whole
+# 256-frame window with 7 MSDUs per MPDU at most.
+LIVE_OVERRIDES = {
+    "symbol_time": 12.8,
+    "preamble": 40.0,
+    "max_mpdus": 128,
+    "max_mpdu_bytes": 5000,
+    "max_psdu_bytes": 10000,
+    "ppdu_time_limit": 3000.0,
+    "back_duration": 50.0,
+    "back64_duration": 20.0,
+    "mcs_rates": tuple(rate / 2 for rate in AX_MCS_RATES),
+    "aifs": 43.0,
+    "backoff": 9.0,
+    "sifs": 10.0,
+    "mpdu_delimiter": 8,
+    "mac_header": 32,
+    "fcs": 8,
+    "msdu_subheader": 18,
+    "service_tail_bits": 30,
+}
+
+
+def test_every_override_key_moves_the_model():
+    # no setting may be accepted and then ignored
+    keys = {f.name for cls in (ProtocolConfig, OverheadConfig) for f in fields(cls)} - {"flavor"}
+    assert set(LIVE_OVERRIDES) == keys
+    with pytest.raises(ValueError, match="unknown configuration key: flavor"):
+        apply_overrides(default_config(ProtocolFlavor.AX256), DEFAULT_OVERHEAD, {"flavor": "ax64"})
+    scenario = Scenario(ProtocolFlavor.AX256, 7, 1e-5, 1500)
+
+    def derived(overrides):
+        config, overhead = resolve_config(ProtocolFlavor.AX256, overrides)
+        link = Link.of(scenario, config, overhead)
+        names = ("per_symbol", "c0", "step", "y_cap", "bit_cap", "overhead_ba64", "overhead_full", "tail_bits")
+        res = optimize_exact(scenario, config, overhead)
+        return [getattr(link, name) for name in names] + [res.plan, res.throughput]
+
+    base = derived(None)
+    for key, value in LIVE_OVERRIDES.items():
+        assert derived({key: value}) != base, key
 
 
 def test_apply_overrides_rejects_unknown_key():
