@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .geometry import MsduSlot, mpdu_bytes, success_probability, y_max
-from .params import DEFAULT_OVERHEAD, OverheadConfig, ProtocolConfig, cycle_overhead
+from .params import BA64_FRAMES, DEFAULT_OVERHEAD, OverheadConfig, ProtocolConfig, cycle_overhead
 
 
 @dataclass(frozen=True)
@@ -128,10 +128,8 @@ def crossover_rate_reliable(
     msdu_len: int,
     overhead: OverheadConfig,
     config: ProtocolConfig,
-    *,
-    window: int = 64,
 ) -> ReliableCrossover:
-    """Largest PHY rate at which ``window`` full MPDUs still fill the time budget.
+    """Largest PHY rate at which ``BA64_FRAMES`` full MPDUs still fill the time budget.
 
     On an error-free channel every MPDU carries as many MSDUs as fit, so
     beyond this rate a larger acknowledgment window starts to pay off.  The
@@ -143,14 +141,14 @@ def crossover_rate_reliable(
     msdu = MsduSlot.for_payload(msdu_len, overhead)
     full_mpdu = mpdu_bytes(y_max(msdu, overhead, config), msdu, overhead)
     span = config.ppdu_time_limit - config.preamble
-    discrete = 8.0 * window * full_mpdu / span
-    continuous = 8.0 * window * config.max_mpdu_bytes / span
+    discrete = 8.0 * BA64_FRAMES * full_mpdu / span
+    continuous = 8.0 * BA64_FRAMES * config.max_mpdu_bytes / span
     return ReliableCrossover(discrete, continuous)
 
 
 @dataclass(frozen=True)
 class CrossoverReport:
-    """Where the optimal MPDU count outgrows a ``window``-frame ack window."""
+    """Where the optimal MPDU count outgrows a ``BA64_FRAMES``-frame ack window."""
 
     ber: float
     x_opt_coefficient: float      # optimal MPDUs per Mbps
@@ -162,17 +160,15 @@ def crossover_mcs(
     ber: float,
     overhead: OverheadConfig,
     config: ProtocolConfig,
-    *,
-    window: int = 64,
 ) -> CrossoverReport:
-    """Rate and MCS from which the optimum needs more than ``window`` MPDUs."""
+    """Rate and MCS from which the optimum needs more than ``BA64_FRAMES`` MPDUs."""
     coefficient = x_opt_coefficient(
         ber,
         8 * overhead.mpdu_overhead_bytes,
         config.ppdu_time_limit,
         config.preamble,
     )
-    threshold = window / coefficient
+    threshold = BA64_FRAMES / coefficient
     return CrossoverReport(
         ber=ber,
         x_opt_coefficient=coefficient,

@@ -20,7 +20,7 @@ from .approx import (
 )
 from .exact import NoFeasiblePlanError, optimize_exact, simulate_throughput, throughput_exact
 from .geometry import AggregationPlan
-from .params import ProtocolFlavor, Scenario, load_override_file, resolve_config
+from .params import ProtocolFlavor, Scenario, _coerce_list, load_override_file, resolve_config
 from .report import SweepGrid, rows_to_csv, rows_to_json, run_sweep
 
 
@@ -78,10 +78,8 @@ def _parse_grid_file(path) -> SweepGrid:
     overrides = load_override_file(path)
     kwargs = {}
     for key, value in overrides.items():
-        if key == "bers":
-            kwargs["bers"] = tuple(float(v) for v in value.split(",") if v.strip())
-        elif key == "msdu_lens":
-            kwargs["msdu_lens"] = tuple(int(v) for v in value.split(",") if v.strip())
+        if key in ("bers", "msdu_lens"):
+            kwargs[key] = _coerce_list(key, value, float if key == "bers" else int)
         elif key == "flavors":
             kwargs["flavors"] = tuple(
                 ProtocolFlavor.parse(v) for v in value.split(",") if v.strip()
@@ -108,7 +106,7 @@ def _cmd_sweep(args, overrides) -> int:
 
 def _cmd_xopt(args, overrides) -> int:
     config, overhead = resolve_config(ProtocolFlavor.AX256, overrides)
-    om_bytes = args.om_bytes if args.om_bytes is not None else overhead.mpdu_overhead_bytes
+    om_bytes = overhead.mpdu_overhead_bytes
     coefficient = x_opt_coefficient(
         args.ber, 8 * om_bytes, config.ppdu_time_limit, config.preamble
     )
@@ -127,9 +125,10 @@ def _cmd_xopt(args, overrides) -> int:
 def _cmd_crossover(args, overrides) -> int:
     config, overhead = resolve_config(ProtocolFlavor.AX256, overrides)
     if args.reliable:
-        rates = crossover_rate_reliable(args.msdu_len, overhead, config)
+        msdu_len = 1500 if args.msdu_len is None else args.msdu_len
+        rates = crossover_rate_reliable(msdu_len, overhead, config)
         payload = {
-            "msdu_len": args.msdu_len,
+            "msdu_len": msdu_len,
             "discrete_mbps": rates.discrete,
             "continuous_mbps": rates.continuous,
             "mcs_crossover": smallest_mcs_at_least(config, rates.continuous),
@@ -205,14 +204,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_xopt = sub.add_parser("xopt", help="closed-form optimal MPDU count")
     p_xopt.add_argument("--ber", required=True, type=float)
     p_xopt.add_argument("--rate", required=True, type=float, help="PHY rate [Mbps]")
-    p_xopt.add_argument("--om-bytes", type=int, default=None, help="per-MPDU overhead [bytes]")
     p_xopt.add_argument("--config", help="key=value overrides file")
     p_xopt.set_defaults(func=_cmd_xopt)
 
     p_cross = sub.add_parser("crossover", help="where a 256-frame window beats 64")
     p_cross.add_argument("--ber", type=float, help="positive bit error rate")
     p_cross.add_argument("--reliable", action="store_true", help="error-free channel analysis")
-    p_cross.add_argument("--msdu-len", type=int, default=1500)
+    p_cross.add_argument("--msdu-len", type=int, help="MSDU payload for --reliable [bytes] (default: 1500)")
     p_cross.add_argument("--config", help="key=value overrides file")
     p_cross.set_defaults(func=_cmd_crossover)
 
@@ -227,12 +225,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_args(args) -> None:
     """Checks argparse cannot express; a violation is a configuration error."""
-    if args.command == "crossover" and args.reliable == (args.ber is not None):
-        raise ValueError("give exactly one of --ber or --reliable")
-    if args.command == "xopt" and not 0.0 < args.ber < 1.0:
-        raise ValueError("--ber must lie in (0, 1); use 'crossover --reliable' for BER=0")
-    if args.command == "xopt" and not 0.0 < args.rate < math.inf:
-        raise ValueError(f"--rate must be finite and > 0 [Mbps], got {args.rate}")
+    if args.command == "crossover":
+        if args.reliable == (args.ber is not None):
+            raise ValueError("give exactly one of --ber or --reliable")
+        if args.ber is not None and args.msdu_len is not None:
+            raise ValueError("--msdu-len applies only to --reliable; the --ber analysis does not depend on it")
+    elif args.command == "xopt":
+        if not 0.0 < args.ber < 1.0:
+            raise ValueError("--ber must lie in (0, 1); use 'crossover --reliable' for BER=0")
+        if not 0.0 < args.rate < math.inf:
+            raise ValueError(f"--rate must be finite and > 0 [Mbps], got {args.rate}")
 
 
 def main(argv=None) -> int:

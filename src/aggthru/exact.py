@@ -235,8 +235,6 @@ def optimize_exact(
 class MonteCarloResult:
     throughput: float   # Mbps
     std_error: float    # standard error of the throughput estimate
-    cycles: int
-    seed: int
 
 
 def simulate_throughput(
@@ -272,4 +270,4 @@ def simulate_throughput(
         se = delivered.std(ddof=1) / math.sqrt(cycles) / cycle_time
     else:
         se = 0.0
-    return MonteCarloResult(float(thr), float(se), cycles, seed)
+    return MonteCarloResult(float(thr), float(se))

@@ -42,15 +42,14 @@ def success_probability(ber: float, bits) -> float:
 
 @dataclass(frozen=True)
 class MsduSlot:
-    """An MSDU payload together with its padded on-air size."""
+    """The padded on-air size of an MSDU."""
 
-    payload_len: int   # bytes handed to the MAC
     padded_len: int    # subheader + payload, 4-byte aligned
 
     @classmethod
     def for_payload(cls, payload_len: int, overhead: OverheadConfig = DEFAULT_OVERHEAD) -> "MsduSlot":
         raw = payload_len + overhead.msdu_subheader
-        return cls(payload_len, 4 * ((raw + 3) // 4))
+        return cls(4 * ((raw + 3) // 4))
 
 
 def mpdu_bytes(y: int, msdu: MsduSlot, overhead: OverheadConfig = DEFAULT_OVERHEAD) -> int:
@@ -304,9 +303,9 @@ class Link:
             return np.where(x <= BA64_FRAMES, self.overhead_ba64, self.overhead_full)
         return self.overhead_ba64 if x <= BA64_FRAMES else self.overhead_full
 
-    def cycle_time(self, x, m, rounded=None):
+    def cycle_time(self, x, m):
         """Cycle airtime of ``x`` MPDUs carrying ``m`` MSDUs [us]: overhead + data."""
-        return self.overhead(x) + self.symbols(self.psdu_bits(x, m), rounded) * self.config.symbol_time
+        return self.overhead(x) + self.symbols(self.psdu_bits(x, m)) * self.config.symbol_time
 
     def goodput(self, x, m, v=None):
         """Expected payload bits per cycle of ``x`` MPDUs carrying ``m`` MSDUs, balanced.

@@ -9,7 +9,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Mapping, Optional
 
 
@@ -94,18 +94,6 @@ class ProtocolConfig:
             raise ValueError("symbol_time must be > 0")
         if self.max_mpdus < 1 or self.max_mpdu_bytes < 1:
             raise ValueError("max_mpdus and max_mpdu_bytes must be >= 1")
-
-    def to_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["flavor"] = self.flavor.value
-        out["mcs_rates"] = list(self.mcs_rates)
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ProtocolConfig":
-        kw = dict(data)
-        kw["flavor"] = ProtocolFlavor(kw["flavor"])
-        return cls(**kw)
 
 
 @dataclass(frozen=True)
@@ -241,7 +229,9 @@ def parse_override_text(text: str) -> dict:
 
     '#' starts a comment and blank lines are ignored.  Keys are the numeric
     fields of ``ProtocolConfig`` and ``OverheadConfig``; values stay strings
-    here and are checked by ``apply_overrides``.  Example::
+    here and are checked by ``apply_overrides``.  Each key may appear only
+    once.  ``none`` is the one spelling of "no cap" for ``max_psdu_bytes``.
+    Example::
 
         ppdu_time_limit = 5484     # [us]
         max_mpdus = 256
@@ -256,7 +246,10 @@ def parse_override_text(text: str) -> dict:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected key=value, got {raw!r}")
         key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key in out:
+            raise ValueError(f"line {lineno}: duplicate key {key}")
+        out[key] = value.strip()
     return out
 
 
@@ -278,6 +271,12 @@ def _coerce(key: str, value, kind):
     raise ValueError(f"invalid value for {key}: {value!r}")
 
 
+def _coerce_list(key: str, value, kind) -> tuple:
+    """A comma-separated string, or a sequence, as a tuple of ``kind`` (see ``_coerce``)."""
+    items = [v for v in value.split(",") if v.strip()] if isinstance(value, str) else value
+    return tuple(_coerce(key, v, kind) for v in items)
+
+
 def apply_overrides(
     config: ProtocolConfig,
     overhead: OverheadConfig,
@@ -290,7 +289,7 @@ def apply_overrides(
     numbers.  A float field takes any number; an integer field takes whole
     numbers only, in any float spelling (``64``, ``64.0`` and ``1e3`` are
     accepted, ``2.7`` is rejected).  ``mcs_rates`` takes a comma-separated
-    list and ``max_psdu_bytes`` takes ``none`` (or ``unlimited``) for no
+    list and ``max_psdu_bytes`` takes ``none``, its only spelling of no
     cap.  Unknown keys and malformed values raise ``ValueError``, as do
     values the dataclasses reject.
     """
@@ -302,13 +301,12 @@ def apply_overrides(
         elif key in _PROTOCOL_INT_FIELDS:
             cfg_kw[key] = _coerce(key, value, int)
         elif key == "max_psdu_bytes":
-            if isinstance(value, str) and value.lower() in ("none", "unlimited", ""):
+            if value is None or isinstance(value, str) and value.lower() == "none":
                 cfg_kw[key] = None
             else:
-                cfg_kw[key] = _coerce(key, value, int) if value is not None else None
+                cfg_kw[key] = _coerce(key, value, int)
         elif key == "mcs_rates":
-            items = [v for v in value.split(",") if v.strip()] if isinstance(value, str) else value
-            cfg_kw[key] = tuple(_coerce(key, v, float) for v in items)
+            cfg_kw[key] = _coerce_list(key, value, float)
         elif key in _OVERHEAD_FLOAT_FIELDS:
             ovh_kw[key] = _coerce(key, value, float)
         elif key in _OVERHEAD_INT_FIELDS:

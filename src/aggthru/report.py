@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from .exact import NoFeasiblePlanError, optimize_exact
 from .params import ProtocolFlavor, Scenario, phy_rate, resolve_config
@@ -41,12 +41,6 @@ class SweepGrid:
     flavors: tuple = DEFAULT_FLAVORS
     bers: tuple = DEFAULT_BERS
     msdu_lens: tuple = DEFAULT_MSDU_LENS
-    mcs_range: Optional[Mapping] = None  # flavor -> iterable of MCS indices
-
-    def mcs_for(self, flavor: ProtocolFlavor, n_rates: int) -> Sequence[int]:
-        if self.mcs_range is not None and flavor in self.mcs_range:
-            return tuple(self.mcs_range[flavor])
-        return tuple(range(n_rates))
 
 
 @dataclass(frozen=True)
@@ -116,7 +110,7 @@ def run_sweep(
         config, overhead = resolve_config(flavor, overrides)
         for ber in grid.bers:
             for msdu_len in grid.msdu_lens:
-                for mcs in grid.mcs_for(flavor, len(config.mcs_rates)):
+                for mcs in range(len(config.mcs_rates)):
                     tasks.append((flavor, mcs, ber, msdu_len, config, overhead, round_symbols))
     if workers == 1:
         return [_evaluate_point(t) for t in tasks]
@@ -156,10 +150,8 @@ def rows_to_json(rows) -> str:
 
 @dataclass(frozen=True)
 class ImprovementTable:
-    """Relative throughput gain of flavor ``a`` over flavor ``b`` [percent]."""
+    """Relative throughput gain of one flavor over another [percent]."""
 
-    flavor_a: ProtocolFlavor
-    flavor_b: ProtocolFlavor
     entries: Mapping          # (mcs, ber, msdu_len) -> percent
     per_ber_max: Mapping      # ber -> max percent over common (mcs, msdu_len)
     missing: tuple            # keys lacking a feasible counterpart
@@ -181,4 +173,4 @@ def improvement(rows, flavor_a: ProtocolFlavor, flavor_b: ProtocolFlavor) -> Imp
     for (mcs, ber, msdu_len), pct in entries.items():
         if ber not in per_ber_max or pct > per_ber_max[ber]:
             per_ber_max[ber] = pct
-    return ImprovementTable(flavor_a, flavor_b, entries, per_ber_max, tuple(missing))
+    return ImprovementTable(entries, per_ber_max, tuple(missing))

@@ -147,6 +147,17 @@ def test_crossover_needs_exactly_one_mode(capsys):
     assert code == 1
 
 
+def test_crossover_takes_msdu_len_only_with_reliable(capsys):
+    # the lossy-channel crossover does not depend on the MSDU size
+    code, out, err = run_cli(capsys, "crossover", "--ber", "1e-7", "--msdu-len", "1500")
+    assert (code, out) == (1, "")
+    assert err.startswith("aggthru: error: --msdu-len applies only to --reliable")
+    assert err.count("\n") == 1
+    _, default, _ = run_cli(capsys, "crossover", "--reliable")
+    _, explicit, _ = run_cli(capsys, "crossover", "--reliable", "--msdu-len", "1500")
+    assert default == explicit
+
+
 @pytest.mark.parametrize(
     "override,field",
     [
@@ -157,6 +168,7 @@ def test_crossover_needs_exactly_one_mode(capsys):
         ("guard_interval = 3.2", "guard_interval"),
         ("spatial_streams = 2", "spatial_streams"),
         ("mcs_rates = 100, x", "mcs_rates"),
+        ("max_mpdus = 64\nmax_mpdus = 8", "line 2: duplicate key max_mpdus"),
     ],
 )
 def test_bad_override_is_a_one_line_error(capsys, tmp_path, override, field):
@@ -174,19 +186,16 @@ def test_bad_override_is_a_one_line_error(capsys, tmp_path, override, field):
 
 
 @pytest.mark.parametrize(
-    "argv,override",
+    "argv",
     [
-        (("xopt", "--ber", "1e-5", "--rate", "1000", "--om-bytes", "0"), None),
-        (("xopt", "--ber", "1e-5", "--rate", "1000", "--om-bytes", "-3"), None),
-        (("crossover", "--ber", "1e-7"), "mpdu_delimiter = 0\nmac_header = 0\nfcs = 0\n"),
+        ("xopt", "--ber", "1e-5", "--rate", "1000"),
+        ("crossover", "--ber", "1e-7"),
     ],
 )
-def test_no_per_mpdu_overhead_is_a_one_line_error(capsys, tmp_path, argv, override):
-    if override is not None:
-        cfg = tmp_path / "zero.cfg"
-        cfg.write_text(override, encoding="utf-8")
-        argv += ("--config", str(cfg))
-    code, out, err = run_cli(capsys, *argv)
+def test_no_per_mpdu_overhead_is_a_one_line_error(capsys, tmp_path, argv):
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text("mpdu_delimiter = 0\nmac_header = 0\nfcs = 0\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
     assert code == 1
     assert out == ""
     assert err.startswith("aggthru: error: per-MPDU overhead must be finite and > 0")
@@ -254,6 +263,21 @@ def test_sweep_grid_file_and_json(capsys, tmp_path):
     data = json.loads(out_path.read_text(encoding="utf-8"))
     assert len(data) == 20
     assert {d["ber"] for d in data} == {0.0, 1e-5}
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("bers = 1e-5, x", "invalid value for bers: ' x'"),
+        ("msdu_lens = 64.5", "invalid value for msdu_lens: '64.5'"),
+        ("bers = 0\nbers = 1e-5", "line 2: duplicate key bers"),
+    ],
+)
+def test_bad_grid_file_is_a_one_line_error(capsys, tmp_path, text, message):
+    grid = tmp_path / "grid.cfg"
+    grid.write_text(text + "\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "sweep", "--grid-file", str(grid))
+    assert (code, out, err) == (1, "", f"aggthru: error: {message}\n")
 
 
 def test_sweep_infeasible_only_exits_two(capsys, tmp_path):

@@ -269,7 +269,7 @@ def test_scores_are_goodput_over_cycle_time(flavor, mcs, ber, msdu_len, round_sy
     value, bound = link.scores(x, m, v)
     good = link.goodput(x, m, v)
     assert value.tolist() == (good / link.cycle_time(x, m)).tolist()
-    assert bound.tolist() == (good / link.cycle_time(x, m, rounded=False)).tolist()
+    assert bound.tolist() == (good / replace(link, round_symbols=False).cycle_time(x, m)).tolist()
     assert (bound >= value).all()
 
 

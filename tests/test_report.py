@@ -112,14 +112,3 @@ def test_sweep_parallel_matches_serial():
     serial = run_sweep(grid, workers=1)
     parallel = run_sweep(grid, workers=2)
     assert serial == parallel
-
-
-def test_mcs_range_restriction():
-    grid = SweepGrid(
-        flavors=(ProtocolFlavor.AX256,),
-        bers=(0.0,),
-        msdu_lens=(64,),
-        mcs_range={ProtocolFlavor.AX256: (0, 5, 11)},
-    )
-    rows = run_sweep(grid)
-    assert [r.mcs for r in rows] == [0, 5, 11]
