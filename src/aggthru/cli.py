@@ -1,8 +1,9 @@
 """Command-line front end: optimize, sweep, xopt, crossover, validate.
 
-Exit codes: 0 success, 1 usage or configuration error or out of memory,
-2 a sweep produced no feasible point.  Infeasible single scenarios are
-reported in-band as JSON, not as process failures.
+Exit codes: 0 success, 1 usage or configuration error, out of memory or
+a closed standard output (which prints nothing), 2 a sweep produced no
+feasible point.  Infeasible single scenarios are reported in-band as JSON,
+not as process failures.
 """
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 from .approx import (
@@ -30,6 +32,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _read_overrides(path) -> dict:
+    # a file the user named that cannot be read is a configuration error
+    try:
+        return load_override_file(path)
+    except OSError as exc:
+        raise ValueError(str(exc)) from None
 
 
 def _print_json(payload) -> None:
@@ -75,7 +85,7 @@ def _cmd_optimize(args, overrides) -> int:
 
 
 def _parse_grid_file(path) -> SweepGrid:
-    overrides = load_override_file(path)
+    overrides = _read_overrides(path)
     kwargs = {}
     for key, value in overrides.items():
         if key in ("bers", "msdu_lens"):
@@ -86,6 +96,8 @@ def _parse_grid_file(path) -> SweepGrid:
             )
         else:
             raise ValueError(f"unknown grid key: {key}")
+        if not kwargs[key]:
+            raise ValueError(f"{key} must not be empty")
     return SweepGrid(**kwargs)
 
 
@@ -94,8 +106,11 @@ def _cmd_sweep(args, overrides) -> int:
     rows = run_sweep(grid, overrides, workers=args.workers)
     text = rows_to_csv(rows) if args.format == "csv" else rows_to_json(rows)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(str(exc)) from None
     else:
         sys.stdout.write(text)
     if not any(row.feasible for row in rows):
@@ -241,10 +256,17 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_args(args)
-        overrides = load_override_file(args.config) if args.config else None
-        return args.func(args, overrides)
-    except (ValueError, OSError) as exc:
+        overrides = _read_overrides(args.config) if args.config else None
+        code = args.func(args, overrides)
+        sys.stdout.flush()   # a closed stdout fails here, not at interpreter exit
+        return code
+    except ValueError as exc:
         print(f"aggthru: error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader stopped reading (``| head``); nothing is left to report.
+        # Point stdout at devnull so the interpreter's flush at exit is silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except MemoryError as exc:
         # the optimizer's work grows with the limits; huge ones can exhaust memory

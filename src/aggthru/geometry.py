@@ -6,15 +6,15 @@ delimiter + MAC header + FCS and is itself padded to 4 bytes, and the whole
 PSDU is sent as whole OFDM symbols after a fixed preamble.  A ``Link`` holds
 everything a plan's cost depends on for one scenario; the kernel, the
 airtime, the limit checks and the optimizer all use it.  A ``Link`` is
-immutable, so ``Link.of`` builds it once per scenario and hands the same
-cached value to every caller.
+immutable, so a caller that asks ``Link.of`` again for the scenario it is
+working on gets the same value back.
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -159,8 +159,8 @@ class Link:
     (``scores`` takes the cycle time in both symbol modes at once, for the
     optimizer); they take ints or numpy arrays alike.  ``verdict`` and the
     optimizer both check a plan against ``y_cap`` and ``bit_cap``, the
-    largest PSDU within the byte and time limits.  ``Link.of`` caches one
-    per scenario for all callers.
+    largest PSDU within the byte and time limits.  ``Link.of`` is the one
+    constructor.
     """
 
     config: ProtocolConfig
@@ -185,11 +185,10 @@ class Link:
         *,
         round_symbols: bool = True,
     ) -> "Link":
-        """The shared link of ``scenario`` under ``config``, whose flavor it must share.
+        """The link of ``scenario`` under ``config``, whose flavor it must share.
 
         A caller that repeats its last arguments, the same objects (``is``),
-        gets the last link back without hashing them; any other call goes to
-        the bounded cache of ``_build``, which matches equal arguments.
+        gets the last link back; any other call builds a new one.
         """
         global _last_link
         last_scenario, last_config, last_overhead, last_round, link = _last_link
@@ -200,30 +199,20 @@ class Link:
             and round_symbols is last_round
         ):
             return link
-        link = cls._build(scenario, config, overhead, round_symbols)
-        _last_link = (scenario, config, overhead, round_symbols, link)
-        return link
-
-    # Callers reuse a scenario's Link while they work on it (a search, a
-    # curve, a simulation), not across a sweep, so a small bound keeps every reuse.
-    @staticmethod
-    @lru_cache(maxsize=256)
-    def _build(scenario, config, overhead, round_symbols) -> "Link":
         if scenario.flavor is not config.flavor:
             raise ValueError(
                 f"scenario flavor {scenario.flavor.value} does not match "
                 f"config flavor {config.flavor.value}"
             )
-        per_symbol = config.symbol_time * phy_rate(config, scenario.mcs)
         msdu = MsduSlot.for_payload(scenario.msdu_len, overhead)
         try:
             y_cap = y_max(msdu, overhead, config)
         except MsduTooLargeError:
             y_cap = 0
-        return Link(
+        link = cls(
             config=config,
             round_symbols=round_symbols,
-            per_symbol=per_symbol,
+            per_symbol=config.symbol_time * phy_rate(config, scenario.mcs),
             tail_bits=overhead.service_tail_bits,
             c0=mpdu_bits(0, msdu, overhead),
             step=8 * msdu.padded_len,
@@ -234,6 +223,8 @@ class Link:
             ber=scenario.ber,
             log_q=math.log1p(-scenario.ber),
         )
+        _last_link = (scenario, config, overhead, round_symbols, link)
+        return link
 
     def within_time_limit(self, bits) -> bool:
         """Whether the PPDU of a ``bits``-bit PSDU meets ``ppdu_time_limit``."""

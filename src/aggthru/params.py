@@ -82,7 +82,7 @@ class ProtocolConfig:
     mcs_rates: tuple              # Mbps, indexed by MCS
 
     def __post_init__(self):
-        object.__setattr__(self, "mcs_rates", tuple(self.mcs_rates))  # hashable, as Link.of needs
+        object.__setattr__(self, "mcs_rates", tuple(self.mcs_rates))  # immutable, as the frozen config is
         if not self.mcs_rates:
             raise ValueError("mcs_rates must not be empty")
         if not all(math.isfinite(r) and r > 0 for r in self.mcs_rates):
@@ -207,7 +207,7 @@ class Scenario:
     msdu_len: int
 
     def __post_init__(self):
-        # stored as Python ints, so equal scenarios are interchangeable
+        # stored as Python ints, so frame sizes stay exact integer arithmetic
         for name in ("mcs", "msdu_len"):
             try:
                 object.__setattr__(self, name, operator.index(getattr(self, name)))

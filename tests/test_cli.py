@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import aggthru
 from aggthru.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "sweep_default.csv"
@@ -271,6 +275,9 @@ def test_sweep_grid_file_and_json(capsys, tmp_path):
         ("bers = 1e-5, x", "invalid value for bers: ' x'"),
         ("msdu_lens = 64.5", "invalid value for msdu_lens: '64.5'"),
         ("bers = 0\nbers = 1e-5", "line 2: duplicate key bers"),
+        ("bers =", "bers must not be empty"),
+        ("msdu_lens =", "msdu_lens must not be empty"),
+        ("flavors =", "flavors must not be empty"),
     ],
 )
 def test_bad_grid_file_is_a_one_line_error(capsys, tmp_path, text, message):
@@ -278,6 +285,22 @@ def test_bad_grid_file_is_a_one_line_error(capsys, tmp_path, text, message):
     grid.write_text(text + "\n", encoding="utf-8")
     code, out, err = run_cli(capsys, "sweep", "--grid-file", str(grid))
     assert (code, out, err) == (1, "", f"aggthru: error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("optimize", "--flavor", "ac64", "--mcs", "9", "--ber", "0", "--msdu-len", "1500"), ("sweep",)],
+)
+def test_closed_stdout_is_not_an_error(argv):
+    # a reader that stops reading (``| head``) gets no error line, traceback or shutdown message
+    env = dict(os.environ, PYTHONPATH=str(Path(aggthru.__file__).resolve().parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "aggthru", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, b"")
 
 
 def test_sweep_infeasible_only_exits_two(capsys, tmp_path):

@@ -397,7 +397,6 @@ def test_results_do_not_depend_on_the_link_cache(round_symbols):
             lambda: throughput_exact(plan, sc, AX256, round_symbols=round_symbols),
         ):
             if clear:
-                Link._build.cache_clear()
                 geometry._last_link = (None,) * 5
             out.append(repr(call()))
         return out
