@@ -1,9 +1,8 @@
 """Command-line front end: optimize, sweep, xopt, crossover, validate.
 
-Exit codes: 0 success, 1 usage or configuration error, out of memory or
-a closed standard output (which prints nothing), 2 a sweep produced no
-feasible point.  Infeasible single scenarios are reported in-band as JSON,
-not as process failures.
+Exit codes: 0 success, 1 usage or configuration error, out of memory or a
+closed stdout (silent), 2 a sweep produced no feasible point.  Infeasible
+single scenarios are reported in-band as JSON, not as process failures.
 """
 from __future__ import annotations
 
@@ -34,17 +33,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _read_overrides(path) -> dict:
-    # a file the user named that cannot be read is a configuration error
-    try:
-        return load_override_file(path)
-    except OSError as exc:
-        raise ValueError(str(exc)) from None
-
-
 def _print_json(payload) -> None:
     # NaN and infinities are not standard JSON: refuse them with a ValueError
-    print(json.dumps(payload, indent=2, allow_nan=False))
+    print(json.dumps(payload, indent=2, allow_nan=False), flush=True)
 
 
 def _result_payload(scenario, res) -> dict:
@@ -85,15 +76,13 @@ def _cmd_optimize(args, overrides) -> int:
 
 
 def _parse_grid_file(path) -> SweepGrid:
-    overrides = _read_overrides(path)
+    overrides = load_override_file(path)
     kwargs = {}
     for key, value in overrides.items():
         if key in ("bers", "msdu_lens"):
             kwargs[key] = _coerce_list(key, value, float if key == "bers" else int)
         elif key == "flavors":
-            kwargs["flavors"] = tuple(
-                ProtocolFlavor.parse(v) for v in value.split(",") if v.strip()
-            )
+            kwargs[key] = tuple(ProtocolFlavor.parse(v) for v in value.split(",") if v.strip())
         else:
             raise ValueError(f"unknown grid key: {key}")
         if not kwargs[key]:
@@ -112,7 +101,7 @@ def _cmd_sweep(args, overrides) -> int:
         except OSError as exc:
             raise ValueError(str(exc)) from None
     else:
-        sys.stdout.write(text)
+        print(text, end="", flush=True)
     if not any(row.feasible for row in rows):
         print("sweep produced no feasible point", file=sys.stderr)
         return 2
@@ -256,16 +245,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_args(args)
-        overrides = _read_overrides(args.config) if args.config else None
-        code = args.func(args, overrides)
-        sys.stdout.flush()   # a closed stdout fails here, not at interpreter exit
-        return code
+        overrides = load_override_file(args.config) if args.config else None
+        return args.func(args, overrides)
     except ValueError as exc:
         print(f"aggthru: error: {exc}", file=sys.stderr)
         return 1
-    except BrokenPipeError:
-        # the reader stopped reading (``| head``); nothing is left to report.
-        # Point stdout at devnull so the interpreter's flush at exit is silent.
+    except BrokenPipeError:   # the reader left (``| head``): say nothing, now or at exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except MemoryError as exc:

@@ -5,9 +5,7 @@ is prefixed by a subheader and padded to a 4-byte boundary, each MPDU adds
 delimiter + MAC header + FCS and is itself padded to 4 bytes, and the whole
 PSDU is sent as whole OFDM symbols after a fixed preamble.  A ``Link`` holds
 everything a plan's cost depends on for one scenario; the kernel, the
-airtime, the limit checks and the optimizer all use it.  A ``Link`` is
-immutable, so a caller that asks ``Link.of`` again for the scenario it is
-working on gets the same value back.
+airtime, the limit checks and the optimizer all use it.
 """
 from __future__ import annotations
 
@@ -159,8 +157,7 @@ class Link:
     (``scores`` takes the cycle time in both symbol modes at once, for the
     optimizer); they take ints or numpy arrays alike.  ``verdict`` and the
     optimizer both check a plan against ``y_cap`` and ``bit_cap``, the
-    largest PSDU within the byte and time limits.  ``Link.of`` is the one
-    constructor.
+    largest PSDU within the byte and time limits.
     """
 
     config: ProtocolConfig

@@ -254,8 +254,11 @@ def parse_override_text(text: str) -> dict:
 
 
 def load_override_file(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_override_text(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_override_text(fh.read())
+    except OSError as exc:   # a file that cannot be read is a configuration error
+        raise ValueError(str(exc)) from None
 
 
 def _coerce(key: str, value, kind):
