@@ -40,6 +40,7 @@ import os
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 REPEATS = 5
@@ -104,8 +105,6 @@ OPTIMIZE_CASES = (
 
 def _fastest(call, repeats: int, reset=lambda: None) -> float:
     """Fastest of ``repeats`` runs of ``call()`` [s], each after ``reset()``."""
-    import time
-
     best = float("inf")
     for _ in range(repeats):
         reset()
