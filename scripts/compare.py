@@ -24,6 +24,9 @@ reports, as the fastest of ``REPEATS`` runs unless said otherwise:
   ``tracemalloc`` allocation;
 - the cold start of each command of ``CLI``: a fresh ``python -m aggthru``
   process, output discarded;
+- the tier-1 suite (``TIER1``, the command of ROADMAP.md), once per child as
+  a fresh process run in the checkout; failing tests do not stop it, a
+  suite that cannot run does;
 - a SHA-256 digest of each output family (``_digests``).
 
 The report, JSON, gives each side's git SHA and digests and the median and
@@ -79,7 +82,10 @@ UNITS = {
     "huge_1e5.s": "s",
     "huge_1e5.peak_alloc_mb": "MB",
     **{f"cli.{command}.cold_s": "s" for command in CLI},
+    "tier1.wall_s": "s",
 }
+# the tier-1 command; the child's PYTHONPATH already starts with the checkout's src
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 
 # Digest inputs.  BERs and MSDU sizes of the closed-form CLI commands:
 BERS = ("1e-7", "1e-6", "1e-5")
@@ -115,15 +121,10 @@ def _fastest(call, repeats: int, reset=lambda: None) -> float:
 
 
 def _cold_reset() -> None:
-    """Forget every built ``Link``, so the next ``optimize_exact`` builds its own."""
+    """Forget the last built ``Link``, so the next ``optimize_exact`` builds its own."""
     from aggthru import geometry
 
     geometry._last_link = (None,) * 5
-    # Older checkouts also keep a 256-entry cache behind the memo, on
-    # Link._build; left full, it would time their side warm.
-    build = getattr(geometry.Link, "_build", None)
-    if build is not None:
-        build.cache_clear()
 
 
 def _kernel() -> dict:
@@ -238,6 +239,16 @@ def _cli_cold() -> dict:
     return {f"cli.{command}.cold_s": _fastest(lambda: run(argv), REPEATS) for command, argv in CLI.items()}
 
 
+def _tier1() -> dict:
+    """The tier-1 suite as one fresh process of this checkout [s]."""
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    elapsed = time.perf_counter() - start
+    if proc.returncode not in (0, 1):   # 1: some tests failed; anything else: the suite did not run
+        raise RuntimeError(f"tier-1 suite exited with {proc.returncode}")
+    return {"tier1.wall_s": elapsed}
+
+
 def _digest(value) -> str:
     return hashlib.sha256(repr(value).encode("utf-8")).hexdigest()
 
@@ -315,7 +326,7 @@ def _child() -> dict:
     import numpy as np
 
     return {
-        "timings": {**_kernel(), **_optimizer(), **_cli_cold()},
+        "timings": {**_kernel(), **_optimizer(), **_cli_cold(), **_tier1()},
         "digests": _digests(),
         "numpy": np.__version__,
     }

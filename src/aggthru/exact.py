@@ -152,12 +152,18 @@ def optimize_exact(
     ``is_feasible`` checks; the lowest ``(x, M)`` among the maxima wins.
     """
     link = Link.of(scenario, config, overhead, round_symbols=round_symbols)
-    c0, step, bit_cap = link.c0, link.step, link.bit_cap
+    c0, step = link.c0, link.step
+    # no plan within the frame-count and MPDU-size caps has a larger PSDU, so
+    # this cap changes no verdict; it keeps a huge time limit's budget in int64
+    bit_cap = min(link.bit_cap, config.max_mpdus * (c0 + step * link.y_cap))
     x_cap = min(config.max_mpdus, bit_cap // (c0 + step))
     # no MPDU of a feasible plan holds more MSDUs than fit the budget alone
     ym = min(link.y_cap, (bit_cap - c0) // step)
     if min(x_cap, ym) < 1:
         raise NoFeasiblePlanError("scenario admits no transmission")
+    if bit_cap + link.tail_bits >= 2**63 or round_symbols and link.symbols(bit_cap) >= 2**63:
+        raise ValueError("the PSDU budget overflows 64-bit counts: ppdu_time_limit, max_mpdus, "
+                         "max_mpdu_bytes or service_tail_bits too large, or symbol_time too short")
 
     # v(y) for y = 0..ym+1; index ym+1 exists only so lookups stay in bounds
     # (it is always multiplied by a zero count)
@@ -168,7 +174,7 @@ def optimize_exact(
     xs = np.arange(1, x_cap + 1, dtype=np.int64)
     m_max = np.minimum(xs * ym, (bit_cap - c0 * xs) // step)
     cap_thr, cap_u = link.scores(xs, m_max, v)
-    best = cap_thr.max()
+    best = float(cap_thr.max())   # a product too large for a double is inf, without a numpy warning
 
     # 2. per y (rows) and block-ack regime (columns), the x from the closed-form
     # lower end up to the widest uniform plan of y

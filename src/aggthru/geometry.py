@@ -206,10 +206,13 @@ class Link:
             y_cap = y_max(msdu, overhead, config)
         except MsduTooLargeError:
             y_cap = 0
+        per_symbol = config.symbol_time * phy_rate(config, scenario.mcs)
+        if not 0.0 < per_symbol < math.inf:
+            raise ValueError(f"symbol_time * mcs_rates[{scenario.mcs}] must be finite and > 0 bits per symbol")
         link = cls(
             config=config,
             round_symbols=round_symbols,
-            per_symbol=config.symbol_time * phy_rate(config, scenario.mcs),
+            per_symbol=per_symbol,
             tail_bits=overhead.service_tail_bits,
             c0=mpdu_bits(0, msdu, overhead),
             step=8 * msdu.padded_len,
@@ -232,12 +235,14 @@ class Link:
     def bit_cap(self) -> int:
         """Largest PSDU [bits] within ``max_psdu_bytes`` and the time limit (< 0: none)."""
         # start from the closed form, floor((limit - preamble) / symbol_time)
-        # symbols (whole ones when rounding) less the tail bits, and settle it
-        # against within_time_limit, which is monotone in bits: step out 1, 2,
-        # 4, ... bits until lo is within the limit (-1 stands for no PSDU at
-        # all) and hi beyond it, then bisect
+        # symbols (whole when rounding; -1 when the preamble alone overruns)
+        # less the tail bits, and settle it against within_time_limit, which is
+        # monotone in bits: step out 1, 2, 4, ... bits until lo is within the
+        # limit (-1: no PSDU at all) and hi beyond it, then bisect
         cfg = self.config
-        span = (cfg.ppdu_time_limit - cfg.preamble) / cfg.symbol_time
+        span = max(-1.0, (cfg.ppdu_time_limit - cfg.preamble) / cfg.symbol_time)
+        if span * self.per_symbol == math.inf:
+            raise ValueError("ppdu_time_limit / symbol_time spans more PSDU bits than a float holds")
         if self.round_symbols:
             span = math.floor(span)
         lo = max(-1, math.floor(span * self.per_symbol) - self.tail_bits)
@@ -283,7 +288,8 @@ class Link:
         raw = (bits + self.tail_bits) / self.per_symbol
         if not (self.round_symbols if rounded is None else rounded):
             return raw
-        return np.ceil(raw) if isinstance(raw, np.ndarray) else float(math.ceil(raw))
+        # ceil(raw) as a float; nan, which no limit admits, where raw is inf
+        return np.ceil(raw) if isinstance(raw, np.ndarray) else -(-raw // 1.0)
 
     def overhead(self, x):
         """Per-cycle overhead of ``x`` MPDUs [us], with their block ack."""
@@ -350,7 +356,6 @@ class Link:
         if cfg.max_psdu_bytes is not None and bits > 8 * cfg.max_psdu_bytes:
             return Feasibility.PSDU_TOO_LARGE
         return Feasibility.TIME_LIMIT_EXCEEDED
-
 
 
 def airtime(

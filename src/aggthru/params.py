@@ -9,7 +9,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Mapping, Optional
 
 
@@ -33,22 +33,6 @@ class ProtocolFlavor(enum.Enum):
                 f"unknown protocol flavor {name!r}; expected one of "
                 f"{', '.join(f.value for f in cls)}"
             ) from None
-
-
-# Numeric fields by kind; each can be overridden by name (see apply_overrides).
-_PROTOCOL_FLOAT_FIELDS = ("symbol_time", "preamble", "ppdu_time_limit", "back_duration", "back64_duration")
-_PROTOCOL_INT_FIELDS = ("max_mpdus", "max_mpdu_bytes")
-_OVERHEAD_FLOAT_FIELDS = ("aifs", "backoff", "sifs")
-_OVERHEAD_INT_FIELDS = ("mpdu_delimiter", "mac_header", "fcs", "msdu_subheader", "service_tail_bits")
-
-
-def _check_finite_nonnegative(obj, names) -> None:
-    for name in names:
-        value = getattr(obj, name)
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-        if value < 0:
-            raise ValueError(f"{name} must be >= 0")
 
 
 # Frames one block ack with a 64-bit bitmap acknowledges.
@@ -79,7 +63,7 @@ class ProtocolConfig:
     ppdu_time_limit: float        # preamble + data symbols [us]
     back_duration: float          # block-ack frame airtime, full window [us]
     back64_duration: float        # block-ack airtime, 64-frame bitmap [us]
-    mcs_rates: tuple              # Mbps, indexed by MCS
+    mcs_rates: tuple[float, ...]  # Mbps, indexed by MCS
 
     def __post_init__(self):
         object.__setattr__(self, "mcs_rates", tuple(self.mcs_rates))  # immutable, as the frozen config is
@@ -89,11 +73,9 @@ class ProtocolConfig:
             raise ValueError("mcs_rates must be finite and > 0")
         if any(b <= a for a, b in zip(self.mcs_rates, self.mcs_rates[1:])):
             raise ValueError("mcs_rates must be strictly increasing")
-        _check_finite_nonnegative(self, _PROTOCOL_FLOAT_FIELDS)
+        _check_numbers(self, int_min=1)   # every integer here is a cap
         if self.symbol_time <= 0:
             raise ValueError("symbol_time must be > 0")
-        if self.max_mpdus < 1 or self.max_mpdu_bytes < 1:
-            raise ValueError("max_mpdus and max_mpdu_bytes must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -118,12 +100,34 @@ class OverheadConfig:
     service_tail_bits: int = 22   # SERVICE + TAIL added to every PPDU
 
     def __post_init__(self):
-        _check_finite_nonnegative(self, _OVERHEAD_FLOAT_FIELDS + _OVERHEAD_INT_FIELDS)
+        _check_numbers(self, int_min=0)
 
     @property
     def mpdu_overhead_bytes(self) -> int:
         """Per-MPDU byte overhead: delimiter + MAC header + FCS."""
         return self.mpdu_delimiter + self.mac_header + self.fcs
+
+
+# Every field an override can set, all but the flavor, with its class and
+# declared type: the type decides how ``apply_overrides`` reads a value
+# (``_READERS``) and how ``_check_numbers`` checks it.
+_SETTINGS = {
+    f.name: (cls, f.type)
+    for cls in (ProtocolConfig, OverheadConfig) for f in fields(cls) if f.name != "flavor"
+}
+_NUMBERS = {  # per class, each number field and its type
+    cls: tuple((n, k) for n, (c, k) in _SETTINGS.items() if c is cls and k != "tuple[float, ...]")
+    for cls in (ProtocolConfig, OverheadConfig)
+}
+
+
+def _check_numbers(obj, int_min: int) -> None:
+    """Each number of ``obj`` is finite and >= 0, an integer one >= ``int_min``; None where Optional."""
+    for name, kind in _NUMBERS[type(obj)]:
+        value = getattr(obj, name)
+        low = 0 if kind == "float" else int_min
+        if not (value is None and kind == "Optional[int]" or low <= value < math.inf):
+            raise ValueError(f"{name} must be finite and >= {low}, got {value}")
 
 
 DEFAULT_OVERHEAD = OverheadConfig()
@@ -191,10 +195,13 @@ def cycle_overhead(
     The block ack is the one for ``mpdus`` MPDUs (see ``block_ack_duration``);
     without ``mpdus`` it is the full-window one.
     """
-    return (
+    total = (
         overhead.aifs + overhead.backoff + config.preamble + overhead.sifs
         + block_ack_duration(config, mpdus)
     )
+    if total == math.inf:
+        raise ValueError("aifs + backoff + preamble + sifs + block ack overflows")
+    return total
 
 
 @dataclass(frozen=True)
@@ -280,6 +287,15 @@ def _coerce_list(key: str, value, kind) -> tuple:
     return tuple(_coerce(key, v, kind) for v in items)
 
 
+# How an override value is read, per declared field type (``none``: no cap)
+_READERS = {
+    "float": lambda key, value: _coerce(key, value, float),
+    "int": lambda key, value: _coerce(key, value, int),
+    "Optional[int]": lambda key, value: None if str(value).lower() == "none" else _coerce(key, value, int),
+    "tuple[float, ...]": lambda key, value: _coerce_list(key, value, float),
+}
+
+
 def apply_overrides(
     config: ProtocolConfig,
     overhead: OverheadConfig,
@@ -287,39 +303,26 @@ def apply_overrides(
 ) -> tuple[ProtocolConfig, OverheadConfig]:
     """Apply flat overrides to a protocol config and an overhead config.
 
-    Every numeric field of either dataclass can be overridden by name.
-    Values may be strings, as ``parse_override_text`` returns them, or
-    numbers.  A float field takes any number; an integer field takes whole
-    numbers only, in any float spelling (``64``, ``64.0`` and ``1e3`` are
-    accepted, ``2.7`` is rejected).  ``mcs_rates`` takes a comma-separated
-    list and ``max_psdu_bytes`` takes ``none``, its only spelling of no
-    cap.  Unknown keys and malformed values raise ``ValueError``, as do
-    values the dataclasses reject.
+    Every field of either dataclass but the flavor can be overridden by
+    name.  Values may be strings, as ``parse_override_text`` returns them,
+    or numbers.  A float field takes any number; an integer field takes
+    whole numbers only, in any float spelling (``64``, ``64.0`` and ``1e3``
+    are accepted, ``2.7`` is rejected).  ``mcs_rates`` takes a
+    comma-separated list and ``max_psdu_bytes`` takes ``none``, its only
+    spelling of no cap.  Unknown keys and malformed values raise
+    ``ValueError``, as do values the dataclasses reject.
     """
-    cfg_kw: dict = {}
-    ovh_kw: dict = {}
+    changes = {ProtocolConfig: {}, OverheadConfig: {}}
     for key, value in overrides.items():
-        if key in _PROTOCOL_FLOAT_FIELDS:
-            cfg_kw[key] = _coerce(key, value, float)
-        elif key in _PROTOCOL_INT_FIELDS:
-            cfg_kw[key] = _coerce(key, value, int)
-        elif key == "max_psdu_bytes":
-            if value is None or isinstance(value, str) and value.lower() == "none":
-                cfg_kw[key] = None
-            else:
-                cfg_kw[key] = _coerce(key, value, int)
-        elif key == "mcs_rates":
-            cfg_kw[key] = _coerce_list(key, value, float)
-        elif key in _OVERHEAD_FLOAT_FIELDS:
-            ovh_kw[key] = _coerce(key, value, float)
-        elif key in _OVERHEAD_INT_FIELDS:
-            ovh_kw[key] = _coerce(key, value, int)
-        else:
-            raise ValueError(f"unknown configuration key: {key}")
-    if cfg_kw:
-        config = replace(config, **cfg_kw)
-    if ovh_kw:
-        overhead = replace(overhead, **ovh_kw)
+        try:
+            cls, kind = _SETTINGS[key]
+        except KeyError:
+            raise ValueError(f"unknown configuration key: {key}") from None
+        changes[cls][key] = _READERS[kind](key, value)
+    if changes[ProtocolConfig]:
+        config = replace(config, **changes[ProtocolConfig])
+    if changes[OverheadConfig]:
+        overhead = replace(overhead, **changes[OverheadConfig])
     return config, overhead
 
 

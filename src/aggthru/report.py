@@ -7,7 +7,8 @@ fixed column order, floats at 6 significant digits, '\\n' line endings.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import os
+from dataclasses import asdict, dataclass, fields
 from typing import Mapping, Optional
 
 from .exact import NoFeasiblePlanError, optimize_exact
@@ -15,32 +16,26 @@ from .params import ProtocolFlavor, Scenario, phy_rate, resolve_config
 
 DEFAULT_BERS = (0.0, 1e-7, 1e-6, 1e-5)
 DEFAULT_MSDU_LENS = (64, 512, 1500)
-DEFAULT_FLAVORS = (ProtocolFlavor.AC64, ProtocolFlavor.AX64, ProtocolFlavor.AX256)
-
-CSV_COLUMNS = (
-    "flavor",
-    "mcs",
-    "phy_rate_mbps",
-    "ber",
-    "msdu_len",
-    "x",
-    "y_base",
-    "n_extra",
-    "throughput_mbps",
-    "data_time_us",
-    "cycle_time_us",
-)
-CSV_HEADER = ",".join(CSV_COLUMNS)
+DEFAULT_FLAVORS = tuple(ProtocolFlavor)
 
 
 @dataclass(frozen=True)
 class SweepGrid:
     """Evaluation grid; the default is every flavor and MCS at the four
-    channel conditions and three MSDU sizes."""
+    channel conditions and three MSDU sizes.  No list may be empty or
+    repeat a value."""
 
     flavors: tuple = DEFAULT_FLAVORS
     bers: tuple = DEFAULT_BERS
     msdu_lens: tuple = DEFAULT_MSDU_LENS
+
+    def __post_init__(self):
+        for f in fields(self):
+            values = getattr(self, f.name)
+            if not values:
+                raise ValueError(f"{f.name} must not be empty")
+            if len(set(values)) < len(values):
+                raise ValueError(f"{f.name} must not repeat a value")
 
 
 @dataclass(frozen=True)
@@ -67,6 +62,10 @@ class SweepRow:
         return (self.mcs, self.ber, self.msdu_len)
 
 
+CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
+CSV_HEADER = ",".join(CSV_COLUMNS)
+
+
 def _evaluate_point(task) -> SweepRow:
     flavor, mcs, ber, msdu_len, config, overhead, round_symbols = task
     rate = phy_rate(config, mcs)
@@ -75,18 +74,10 @@ def _evaluate_point(task) -> SweepRow:
         res = optimize_exact(scenario, config, overhead, round_symbols=round_symbols)
     except NoFeasiblePlanError:
         return SweepRow(flavor, mcs, rate, ber, msdu_len, 0, 0, 0, 0.0, 0.0, 0.0)
+    plan, air = res.plan, res.airtime
     return SweepRow(
-        flavor=flavor,
-        mcs=mcs,
-        phy_rate_mbps=rate,
-        ber=ber,
-        msdu_len=msdu_len,
-        x=res.plan.x,
-        y_base=res.plan.y_base,
-        n_extra=res.plan.n_extra,
-        throughput_mbps=res.throughput,
-        data_time_us=res.airtime.data_time,
-        cycle_time_us=res.airtime.cycle_time,
+        flavor, mcs, rate, ber, msdu_len, plan.x, plan.y_base, plan.n_extra,
+        res.throughput, air.data_time, air.cycle_time,
     )
 
 
@@ -118,7 +109,8 @@ def run_sweep(
     # and every plain import of the package would otherwise pay for
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # the pool may start all its processes at once: no more than tasks or CPUs
+    with ProcessPoolExecutor(max_workers=min(workers, len(tasks), os.cpu_count() or 1)) as pool:
         return list(pool.map(_evaluate_point, tasks))
 
 
@@ -140,11 +132,7 @@ def rows_to_csv(rows) -> str:
 
 
 def rows_to_json(rows) -> str:
-    out = []
-    for row in rows:
-        item = {col: getattr(row, col) for col in CSV_COLUMNS}
-        item["flavor"] = row.flavor.value
-        out.append(item)
+    out = [{**asdict(row), "flavor": row.flavor.value} for row in rows]
     return json.dumps(out, indent=2, allow_nan=False) + "\n"
 
 

@@ -3,11 +3,13 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import aggthru
+from aggthru import OverheadConfig, ProtocolConfig
 from aggthru.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "sweep_default.csv"
@@ -173,6 +175,8 @@ def test_crossover_takes_msdu_len_only_with_reliable(capsys):
         ("spatial_streams = 2", "spatial_streams"),
         ("mcs_rates = 100, x", "mcs_rates"),
         ("max_mpdus = 64\nmax_mpdus = 8", "line 2: duplicate key max_mpdus"),
+        ("max_psdu_bytes = -5", "max_psdu_bytes must be finite and >= 1"),
+        ("max_psdu_bytes = 0", "max_psdu_bytes must be finite and >= 1"),
     ],
 )
 def test_bad_override_is_a_one_line_error(capsys, tmp_path, override, field):
@@ -187,6 +191,57 @@ def test_bad_override_is_a_one_line_error(capsys, tmp_path, override, field):
     assert out == ""
     assert err.startswith("aggthru: error: ") and field in err
     assert err.count("\n") == 1
+
+
+SETTINGS = [f.name for cls in (ProtocolConfig, OverheadConfig) for f in fields(cls) if f.name != "flavor"]
+
+
+@pytest.mark.parametrize("value", ["-5", "inf", "-inf", "nan"])
+@pytest.mark.parametrize("key", SETTINGS)
+def test_every_negative_or_non_finite_number_is_a_one_line_error(capsys, tmp_path, key, value):
+    # one case per declared field, so a field no check covers fails here
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+    code, out, err = run_cli(
+        capsys,
+        "optimize", "--flavor", "ac64", "--mcs", "9", "--ber", "0", "--msdu-len", "1500",
+        "--config", str(cfg),
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("aggthru: error: ") and key in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error")   # a numpy warning before the answer fails the case
+@pytest.mark.parametrize(
+    "override,field",
+    [
+        ("symbol_time = 1e-320", "ppdu_time_limit"),   # more symbols than a double holds
+        ("ppdu_time_limit = 1e308", "ppdu_time_limit"),
+        ("preamble = 1e308", None),                    # no PSDU fits: in-band infeasible
+        ("mcs_rates = 1e308", "mcs_rates"),
+        ("ppdu_time_limit = 1e30", None),              # the frame and MPDU caps bound the PSDU
+        ("aifs = 1e308\nbackoff = 1e308", "aifs"),
+        ("symbol_time = 1e-300", "symbol_time"),       # more than 2**63 symbols
+        ("ppdu_time_limit = 1e30\nmax_mpdus = 1e10\nmax_mpdu_bytes = 1e12", "ppdu_time_limit"),
+        ("preamble = 1e20\nmcs_rates = 1e-320", None),  # the tail bits alone take forever
+    ],
+)
+def test_huge_and_tiny_overrides_answer_or_fail_in_one_line(capsys, tmp_path, override, field):
+    cfg = tmp_path / "extreme.cfg"
+    cfg.write_text(override + "\n", encoding="utf-8")
+    code, out, err = run_cli(
+        capsys,
+        "optimize", "--flavor", "ax256", "--mcs", "0", "--ber", "1e-6", "--msdu-len", "64",
+        "--config", str(cfg),
+    )
+    if field is None:
+        assert (code, err) == (0, "")
+        json.loads(out)
+    else:
+        assert (code, out) == (1, "")
+        assert err.startswith("aggthru: error: ") and field in err
+        assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -278,6 +333,10 @@ def test_sweep_grid_file_and_json(capsys, tmp_path):
         ("bers =", "bers must not be empty"),
         ("msdu_lens =", "msdu_lens must not be empty"),
         ("flavors =", "flavors must not be empty"),
+        ("bers = 0, 0\nflavors = ac64, ac64\nmsdu_lens = 1500", "flavors must not repeat a value"),
+        ("bers = 0, 1e-5, 0.0", "bers must not repeat a value"),
+        ("flavors = ac64, AC64", "flavors must not repeat a value"),
+        ("msdu_lens = 1500, 64, 1500.0", "msdu_lens must not repeat a value"),
     ],
 )
 def test_bad_grid_file_is_a_one_line_error(capsys, tmp_path, text, message):

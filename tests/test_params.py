@@ -22,6 +22,7 @@ from aggthru import (
     phy_rate,
     resolve_config,
 )
+from aggthru import params
 
 ALL_FLAVORS = tuple(ProtocolFlavor)
 
@@ -274,6 +275,22 @@ def test_every_override_key_moves_the_model():
     base = derived(None)
     for key, value in LIVE_OVERRIDES.items():
         assert derived({key: value}) != base, key
+
+
+@pytest.mark.parametrize("flavor", ALL_FLAVORS)
+def test_every_declared_field_type_is_read_by_apply_overrides(flavor):
+    # a field declared with a type apply_overrides cannot read fails here:
+    # each default, written as an override file would, reads back unchanged
+    config = default_config(flavor)
+    for obj in (config, DEFAULT_OVERHEAD):
+        for f in fields(obj):
+            if f.name == "flavor":
+                continue
+            assert f.type in params._READERS, (f.name, f.type)
+            value = getattr(obj, f.name)
+            text = ", ".join(map(str, value)) if isinstance(value, tuple) else str(value)   # None: "None"
+            got = apply_overrides(config, DEFAULT_OVERHEAD, {f.name: text})
+            assert got == (config, DEFAULT_OVERHEAD), f.name
 
 
 def test_apply_overrides_rejects_unknown_key():

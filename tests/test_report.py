@@ -1,3 +1,5 @@
+import concurrent.futures
+import os
 from pathlib import Path
 
 import pytest
@@ -112,3 +114,30 @@ def test_sweep_parallel_matches_serial():
     serial = run_sweep(grid, workers=1)
     parallel = run_sweep(grid, workers=2)
     assert serial == parallel
+
+
+def test_sweep_pool_is_no_larger_than_its_tasks_and_cpus(monkeypatch):
+    # the pool may start every worker at the first task, so it asks for no
+    # more than there are points or CPUs; a serial stand-in records the size
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    grid = SweepGrid(flavors=(ProtocolFlavor.AC64,), bers=(0.0,), msdu_lens=(1500,))   # 10 points
+    serial = run_sweep(grid)
+    for cpus, workers in ((4, 10**6), (64, 10**6), (64, 3), (None, 2)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert run_sweep(grid, workers=workers) == serial
+    assert sizes == [4, 10, 3, 1]
