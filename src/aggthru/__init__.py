@@ -45,6 +45,7 @@ from .exact import (
     NoFeasiblePlanError,
     ThroughputResult,
     optimize_exact,
+    optimize_exact_batch,
     simulate_throughput,
     throughput_exact,
 )

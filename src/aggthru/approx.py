@@ -9,6 +9,7 @@ of ``x`` alone, whose maximizer is the positive root of a quadratic.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -96,12 +97,21 @@ def x_opt_coefficient(ber: float, o_m_bits: int, t_limit: float, preamble: float
         raise ValueError("use reliable-channel crossover instead")
     if ber >= 1.0:
         raise ValueError(f"bit error rate must lie in [0, 1), got {ber}")
-    if not (math.isfinite(o_m_bits) and o_m_bits > 0):
-        raise ValueError(f"per-MPDU overhead must be finite and > 0 bits, got {o_m_bits}")
+    # compared before converting: an int overhead may be larger than any double
+    if not 0 < o_m_bits <= sys.float_info.max:
+        shown = f"> {sys.float_info.max:.6g}" if o_m_bits > sys.float_info.max else o_m_bits
+        raise ValueError(f"per-MPDU overhead must be finite and > 0 bits, got {shown}")
     a = float(o_m_bits)
     b = math.log1p(-ber)
     span = t_limit - preamble
-    return (b * span / 2.0) * (1.0 - math.sqrt(1.0 - 4.0 / (a * b)))
+    coefficient = (b * span / 2.0) * (1.0 - math.sqrt(1.0 - 4.0 / (a * b)))
+    # a huge overhead rounds the square root to 1, a huge span overflows
+    if not 0.0 < coefficient < math.inf:
+        raise ValueError(
+            f"optimal MPDUs per Mbps must be finite and > 0, got {coefficient}: "
+            "per-MPDU overhead or ppdu_time_limit - preamble out of range"
+        )
+    return coefficient
 
 
 def x_opt_closed_form(scenario: ContinuousScenario) -> float:

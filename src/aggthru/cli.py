@@ -162,7 +162,7 @@ def _cmd_validate(args, overrides) -> int:
         sim = simulate_throughput(
             plan, scenario, *resolved[row.flavor], cycles=args.cycles, seed=args.seed + index
         )
-        # the row holds throughput_exact of its plan: optimize_exact ends with that call
+        # the row holds throughput_exact of its plan: the search scores its plan the same way
         dev = abs(sim.throughput - row.throughput_mbps)
         max_rel = max(max_rel, dev / row.throughput_mbps)
         if sim.std_error > 0:
@@ -251,7 +251,8 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except MemoryError as exc:
-        # the optimizer's work grows with the limits; huge ones can exhaust memory
+        # the optimizer's work grows with the limits and validate's with --cycles;
+        # huge ones can exhaust memory
         detail = str(exc).splitlines()[0] if str(exc) else "no detail"
         print(f"aggthru: error: out of memory ({detail})", file=sys.stderr)
         return 1

@@ -1,6 +1,7 @@
 """Grid sweeps over (flavor, MCS, BER, MSDU size) and comparison tables.
 
-Sweep points are independent; reductions are ordered so output never
+A sweep searches each geometry (flavor, MCS, MSDU size) once for all its
+BERs.  Geometries are independent; reductions are ordered so output never
 depends on how the work was partitioned.  CSV output is byte-stable:
 fixed column order, floats at 6 significant digits, '\\n' line endings.
 """
@@ -11,7 +12,7 @@ import os
 from dataclasses import asdict, dataclass, fields
 from typing import Mapping, Optional
 
-from .exact import NoFeasiblePlanError, optimize_exact
+from .exact import NoFeasiblePlanError, optimize_exact_batch
 from .params import ProtocolFlavor, Scenario, phy_rate, resolve_config
 
 DEFAULT_BERS = (0.0, 1e-7, 1e-6, 1e-5)
@@ -66,18 +67,21 @@ CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
 CSV_HEADER = ",".join(CSV_COLUMNS)
 
 
-def _evaluate_point(task) -> SweepRow:
-    flavor, mcs, ber, msdu_len, config, overhead, round_symbols = task
+def _evaluate_geometry(task) -> tuple:
+    """The rows of one flavor, MCS and MSDU size, one per BER, from one search."""
+    flavor, mcs, msdu_len, bers, config, overhead, round_symbols = task
     rate = phy_rate(config, mcs)
-    scenario = Scenario(flavor=flavor, mcs=mcs, ber=ber, msdu_len=msdu_len)
+    scenarios = [Scenario(flavor, mcs, ber, msdu_len) for ber in bers]
     try:
-        res = optimize_exact(scenario, config, overhead, round_symbols=round_symbols)
+        results = optimize_exact_batch(scenarios, config, overhead, round_symbols=round_symbols)
     except NoFeasiblePlanError:
-        return SweepRow(flavor, mcs, rate, ber, msdu_len, 0, 0, 0, 0.0, 0.0, 0.0)
-    plan, air = res.plan, res.airtime
-    return SweepRow(
-        flavor, mcs, rate, ber, msdu_len, plan.x, plan.y_base, plan.n_extra,
-        res.throughput, air.data_time, air.cycle_time,
+        return tuple(SweepRow(flavor, mcs, rate, ber, msdu_len, 0, 0, 0, 0.0, 0.0, 0.0) for ber in bers)
+    return tuple(
+        SweepRow(
+            flavor, mcs, rate, ber, msdu_len, res.plan.x, res.plan.y_base, res.plan.n_extra,
+            res.throughput, res.airtime.data_time, res.airtime.cycle_time,
+        )
+        for ber, res in zip(bers, results)
     )
 
 
@@ -91,27 +95,35 @@ def run_sweep(
     """Optimize every grid point; rows ordered by (flavor, ber, msdu_len, mcs).
 
     Each flavor's configuration is its default with ``overrides`` applied
-    (see ``params.resolve_config``).  Infeasible points become zero rows
-    instead of aborting the sweep.
+    (see ``params.resolve_config``).  A plan's airtime does not depend on
+    the BER, so each task is one geometry, a flavor, MCS and MSDU size,
+    searched once for every BER of the grid (``optimize_exact_batch``).
+    Infeasible points become zero rows instead of aborting the sweep.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     tasks = []
     for flavor in grid.flavors:
         config, overhead = resolve_config(flavor, overrides)
-        for ber in grid.bers:
-            for msdu_len in grid.msdu_lens:
-                for mcs in range(len(config.mcs_rates)):
-                    tasks.append((flavor, mcs, ber, msdu_len, config, overhead, round_symbols))
+        for msdu_len in grid.msdu_lens:
+            for mcs in range(len(config.mcs_rates)):
+                tasks.append((flavor, mcs, msdu_len, grid.bers, config, overhead, round_symbols))
     if workers == 1:
-        return [_evaluate_point(t) for t in tasks]
-    # imported here: the pool pulls in multiprocessing, which a serial sweep
-    # and every plain import of the package would otherwise pay for
-    from concurrent.futures import ProcessPoolExecutor
+        columns = list(map(_evaluate_geometry, tasks))
+    else:
+        # imported here: the pool pulls in multiprocessing, which a serial sweep
+        # and every plain import of the package would otherwise pay for
+        from concurrent.futures import ProcessPoolExecutor
 
-    # the pool may start all its processes at once: no more than tasks or CPUs
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks), os.cpu_count() or 1)) as pool:
-        return list(pool.map(_evaluate_point, tasks))
+        # the pool may start all its processes at once: no more than tasks or CPUs
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks), os.cpu_count() or 1)) as pool:
+            columns = list(pool.map(_evaluate_geometry, tasks))
+    # the tasks of one flavor run by (msdu_len, mcs); its rows go BER by BER
+    rows = []
+    for flavor in grid.flavors:
+        for per_ber in zip(*(col for task, col in zip(tasks, columns) if task[0] is flavor)):
+            rows.extend(per_ber)
+    return rows
 
 
 def _fmt(value) -> str:

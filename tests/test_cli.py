@@ -122,6 +122,13 @@ def test_out_of_range_count_is_a_one_line_error(capsys, argv, message):
 
 
 @pytest.mark.parametrize(
+    "target,argv",
+    [
+        ("optimize_exact", ("optimize", "--flavor", "ax256", "--mcs", "11", "--ber", "1e-6", "--msdu-len", "64")),
+        ("simulate_throughput", ("validate", "--cycles", "1000000000")),
+    ],
+)
+@pytest.mark.parametrize(
     "message,shown",
     [
         ("Unable to allocate 351. MiB for an array with shape (46000000,)",
@@ -129,17 +136,16 @@ def test_out_of_range_count_is_a_one_line_error(capsys, argv, message):
         ("", "no detail"),
     ],
 )
-def test_out_of_memory_is_a_one_line_error(capsys, monkeypatch, message, shown):
-    # huge limits can make the search exhaust memory; stand in for that without allocating
+def test_out_of_memory_is_a_one_line_error(capsys, monkeypatch, message, shown, target, argv):
+    # huge limits can make the search exhaust memory, and a huge cycle count
+    # the Monte Carlo run; stand in for that without allocating
     import aggthru.cli
 
     def exhausted(*args, **kwargs):
         raise MemoryError(message)
 
-    monkeypatch.setattr(aggthru.cli, "optimize_exact", exhausted)
-    code, out, err = run_cli(
-        capsys, "optimize", "--flavor", "ax256", "--mcs", "11", "--ber", "1e-6", "--msdu-len", "64"
-    )
+    monkeypatch.setattr(aggthru.cli, target, exhausted)
+    code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""
     assert err == f"aggthru: error: out of memory ({shown})\n"
@@ -242,6 +248,26 @@ def test_huge_and_tiny_overrides_answer_or_fail_in_one_line(capsys, tmp_path, ov
         assert (code, out) == (1, "")
         assert err.startswith("aggthru: error: ") and field in err
         assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "override,argv,message",
+    [
+        # the overhead is compared with the largest double before it is converted
+        ("mac_header = 1e308", ("xopt", "--ber", "1e-5", "--rate", "1000"), "per-MPDU overhead must be finite"),
+        ("mac_header = 1e308", ("crossover", "--ber", "1e-6"), "per-MPDU overhead must be finite"),
+        # the square root rounds to 1, so the optimum would be -0.0 MPDUs
+        ("fcs = 1e30", ("xopt", "--ber", "1e-5", "--rate", "1000"), "optimal MPDUs per Mbps must be finite and > 0"),
+        ("fcs = 1e30", ("crossover", "--ber", "1e-6"), "optimal MPDUs per Mbps must be finite and > 0"),
+    ],
+)
+def test_huge_per_mpdu_overhead_is_a_one_line_error(capsys, tmp_path, override, argv, message):
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(override + "\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"aggthru: error: {message}")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

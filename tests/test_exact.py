@@ -26,6 +26,8 @@ from aggthru import (
     is_feasible,
     mpdu_bits,
     optimize_exact,
+    optimize_exact_batch,
+    resolve_config,
     simulate_throughput,
     success_probability,
     throughput_exact,
@@ -372,6 +374,109 @@ def test_optimizer_no_feasible_plan():
     tiny = replace(AC, ppdu_time_limit=50.0)
     with pytest.raises(NoFeasiblePlanError, match="no transmission"):
         optimize_exact(Scenario(ProtocolFlavor.AC64, 0, 0.0, 64), tiny)
+
+
+BATCH_BERS = st.lists(
+    st.one_of(st.just(0.0), st.floats(min_value=1e-9, max_value=1e-2)), min_size=1, max_size=5, unique=True,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    flavor=st.sampled_from(list(ProtocolFlavor)),
+    mcs=st.integers(min_value=0, max_value=11),
+    msdu_len=st.integers(min_value=1, max_value=2500),
+    bers=BATCH_BERS,
+    round_symbols=st.booleans(),
+    overrides=st.fixed_dictionaries({}, optional={
+        "ppdu_time_limit": st.floats(min_value=40.0, max_value=20000.0),
+        "max_mpdus": st.integers(min_value=1, max_value=600),
+        "max_mpdu_bytes": st.integers(min_value=100, max_value=20000),
+        "mac_header": st.integers(min_value=0, max_value=100),
+        "msdu_subheader": st.integers(min_value=0, max_value=50),
+    }),
+)
+def test_batch_equals_each_channel_alone(flavor, mcs, msdu_len, bers, round_symbols, overrides):
+    # every channel is scored over the union of all channels' candidates,
+    # with best seeded by the widest kinks: neither may change its result
+    config, overhead = resolve_config(flavor, overrides)
+    scenarios = [Scenario(flavor, mcs % len(config.mcs_rates), ber, msdu_len) for ber in bers]
+    try:
+        batch = optimize_exact_batch(scenarios, config, overhead, round_symbols=round_symbols)
+    except NoFeasiblePlanError:
+        for scenario in scenarios:
+            with pytest.raises(NoFeasiblePlanError):
+                optimize_exact(scenario, config, overhead, round_symbols=round_symbols)
+        return
+    assert len(batch) == len(scenarios)
+    for scenario, res in zip(scenarios, batch):
+        alone = optimize_exact(scenario, config, overhead, round_symbols=round_symbols)
+        assert (res.plan, res.throughput) == (alone.plan, alone.throughput)
+        assert res == alone
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    flavor=st.sampled_from(list(ProtocolFlavor)),
+    mcs=st.integers(min_value=0, max_value=11),
+    msdu_len=st.integers(min_value=1, max_value=2304),
+    bers=BATCH_BERS,
+    ppdu_time_limit=st.floats(min_value=40.0, max_value=5484.0),
+    y_cap=st.integers(min_value=0, max_value=40),
+    max_mpdus=st.integers(min_value=1, max_value=8),
+    round_symbols=st.booleans(),
+)
+def test_batch_matches_brute_force(flavor, mcs, msdu_len, bers, ppdu_time_limit, y_cap, max_mpdus, round_symbols):
+    slot = MsduSlot.for_payload(msdu_len)
+    config = replace(
+        default_config(flavor),
+        ppdu_time_limit=ppdu_time_limit,
+        max_mpdu_bytes=DEFAULT_OVERHEAD.mpdu_overhead_bytes + y_cap * slot.padded_len,
+        max_mpdus=max_mpdus,
+    )
+    scenarios = [Scenario(flavor, mcs % len(config.mcs_rates), ber, msdu_len) for ber in bers]
+    expected = [_brute_force(scenario, config, round_symbols=round_symbols) for scenario in scenarios]
+    if expected[0][1] is None:
+        with pytest.raises(NoFeasiblePlanError):
+            optimize_exact_batch(scenarios, config, round_symbols=round_symbols)
+        return
+    batch = optimize_exact_batch(scenarios, config, round_symbols=round_symbols)
+    assert [(res.throughput, res.plan) for res in batch] == expected
+
+
+def test_batch_without_a_feasible_plan_raises_for_every_ber():
+    tiny = replace(AC, ppdu_time_limit=50.0)
+    scenarios = [Scenario(ProtocolFlavor.AC64, 0, ber, 64) for ber in (0.0, 1e-6, 1e-5)]
+    with pytest.raises(NoFeasiblePlanError, match="no transmission"):
+        optimize_exact_batch(scenarios, tiny)
+
+
+def test_batch_overflowing_budget_is_the_one_line_error_of_a_single_search():
+    config = replace(AX256, symbol_time=1e-300)
+    scenarios = [Scenario(ProtocolFlavor.AX256, 0, ber, 64) for ber in (0.0, 1e-6)]
+    with pytest.raises(ValueError) as alone:
+        optimize_exact(scenarios[0], config)
+    with pytest.raises(ValueError) as batch:
+        optimize_exact_batch(scenarios, config)
+    assert str(batch.value) == str(alone.value)
+    assert str(batch.value).startswith("the PSDU budget overflows 64-bit counts")
+    assert "\n" not in str(batch.value)
+
+
+@pytest.mark.parametrize(
+    "other",
+    [
+        Scenario(ProtocolFlavor.AX256, 9, 1e-6, 512),    # another MCS
+        Scenario(ProtocolFlavor.AX256, 8, 1e-6, 1500),   # another MSDU size
+        Scenario(ProtocolFlavor.AX64, 8, 1e-6, 512),     # another flavor
+    ],
+)
+def test_batch_takes_scenarios_that_differ_only_in_ber(other):
+    first = Scenario(ProtocolFlavor.AX256, 8, 0.0, 512)
+    with pytest.raises(ValueError, match="differ only in BER"):
+        optimize_exact_batch([first, other], AX256)
+    with pytest.raises(ValueError, match="differ only in BER"):
+        optimize_exact_batch([], AX256)
 
 
 def test_optimizer_unrounded_not_below_rounded():

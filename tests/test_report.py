@@ -105,6 +105,36 @@ def test_sweep_flags_infeasible_points():
     assert len(table.missing) == 10
 
 
+def test_sweep_geometry_without_a_plan_is_infeasible_at_every_ber():
+    grid = SweepGrid(flavors=(ProtocolFlavor.AC64,), bers=(0.0, 1e-6, 1e-5), msdu_lens=(1500,))
+    rows = run_sweep(grid, overrides={"ppdu_time_limit": 50})
+    assert [(r.ber, r.mcs) for r in rows] == [(ber, mcs) for ber in grid.bers for mcs in range(10)]
+    assert all(r.x == 0 and r.throughput_mbps == 0.0 for r in rows)
+
+
+def test_sweep_rows_follow_the_grid_order_and_match_single_searches():
+    # one search per geometry answers every BER; the rows still go by
+    # (flavor, ber, msdu_len, mcs) in the grid's own order
+    grid = SweepGrid(
+        flavors=(ProtocolFlavor.AX64, ProtocolFlavor.AC64),
+        bers=(1e-5, 0.0, 1e-7),
+        msdu_lens=(1500, 64),
+    )
+    rows = run_sweep(grid)
+    expected_keys = [
+        (flavor, ber, msdu_len, mcs)
+        for flavor in grid.flavors
+        for ber in grid.bers
+        for msdu_len in grid.msdu_lens
+        for mcs in range(len(default_config(flavor).mcs_rates))
+    ]
+    assert [(r.flavor, r.ber, r.msdu_len, r.mcs) for r in rows] == expected_keys
+    for row in rows[::7]:
+        res = optimize_exact(Scenario(row.flavor, row.mcs, row.ber, row.msdu_len), default_config(row.flavor))
+        assert (row.x, row.y_base, row.n_extra) == (res.plan.x, res.plan.y_base, res.plan.n_extra)
+        assert row.throughput_mbps == res.throughput
+
+
 def test_sweep_parallel_matches_serial():
     grid = SweepGrid(
         flavors=(ProtocolFlavor.AC64, ProtocolFlavor.AX256),
@@ -118,7 +148,7 @@ def test_sweep_parallel_matches_serial():
 
 def test_sweep_pool_is_no_larger_than_its_tasks_and_cpus(monkeypatch):
     # the pool may start every worker at the first task, so it asks for no
-    # more than there are points or CPUs; a serial stand-in records the size
+    # more than there are tasks or CPUs; a serial stand-in records the size
     sizes = []
 
     class SerialPool:
@@ -135,7 +165,7 @@ def test_sweep_pool_is_no_larger_than_its_tasks_and_cpus(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    grid = SweepGrid(flavors=(ProtocolFlavor.AC64,), bers=(0.0,), msdu_lens=(1500,))   # 10 points
+    grid = SweepGrid(flavors=(ProtocolFlavor.AC64,), bers=(0.0,), msdu_lens=(1500,))   # 10 tasks
     serial = run_sweep(grid)
     for cpus, workers in ((4, 10**6), (64, 10**6), (64, 3), (None, 2)):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
