@@ -464,19 +464,18 @@ def test_batch_overflowing_budget_is_the_one_line_error_of_a_single_search():
 
 
 @pytest.mark.parametrize(
-    "other",
+    "others",
     [
-        Scenario(ProtocolFlavor.AX256, 9, 1e-6, 512),    # another MCS
-        Scenario(ProtocolFlavor.AX256, 8, 1e-6, 1500),   # another MSDU size
-        Scenario(ProtocolFlavor.AX64, 8, 1e-6, 512),     # another flavor
+        [Scenario(ProtocolFlavor.AX256, 9, 1e-6, 512)],    # another MCS
+        [Scenario(ProtocolFlavor.AX256, 8, 1e-6, 1500)],   # another MSDU size
+        [Scenario(ProtocolFlavor.AX64, 8, 1e-6, 512)],     # another flavor
+        None,                                              # no scenario at all
     ],
 )
-def test_batch_takes_scenarios_that_differ_only_in_ber(other):
-    first = Scenario(ProtocolFlavor.AX256, 8, 0.0, 512)
+def test_batch_takes_scenarios_that_differ_only_in_ber(others):
+    scenarios = [Scenario(ProtocolFlavor.AX256, 8, 0.0, 512)] + others if others else []
     with pytest.raises(ValueError, match="differ only in BER"):
-        optimize_exact_batch([first, other], AX256)
-    with pytest.raises(ValueError, match="differ only in BER"):
-        optimize_exact_batch([], AX256)
+        optimize_exact_batch(scenarios, AX256)
 
 
 def test_optimizer_unrounded_not_below_rounded():
