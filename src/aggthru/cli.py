@@ -91,7 +91,7 @@ def _parse_grid_file(path) -> SweepGrid:
 
 def _cmd_sweep(args, overrides) -> int:
     grid = _parse_grid_file(args.grid_file) if args.grid_file else SweepGrid()
-    rows = run_sweep(grid, overrides, workers=args.workers)
+    rows = run_sweep(grid, overrides)
     text = rows_to_csv(rows) if args.format == "csv" else rows_to_json(rows)
     if args.out:
         try:
@@ -113,12 +113,17 @@ def _cmd_xopt(args, overrides) -> int:
     coefficient = x_opt_coefficient(
         args.ber, 8 * om_bytes, config.ppdu_time_limit, config.preamble
     )
+    x_opt = coefficient * args.rate
+    if not math.isfinite(x_opt):
+        raise ValueError(
+            f"--rate {args.rate:g} Mbps times {coefficient:g} optimal MPDUs per Mbps overflows a double"
+        )
     _print_json(
         {
             "ber": args.ber,
             "rate_mbps": args.rate,
             "om_bytes": om_bytes,
-            "x_opt": coefficient * args.rate,
+            "x_opt": x_opt,
             "coefficient_per_mbps": coefficient,
         }
     )
@@ -164,7 +169,9 @@ def _cmd_validate(args, overrides) -> int:
         )
         # the row holds throughput_exact of its plan: the search scores its plan the same way
         dev = abs(sim.throughput - row.throughput_mbps)
-        max_rel = max(max_rel, dev / row.throughput_mbps)
+        # a plan that loses every MPDU has no relative deviation; its z-score still counts
+        if row.throughput_mbps > 0:
+            max_rel = max(max_rel, dev / row.throughput_mbps)
         if sim.std_error > 0:
             max_z = max(max_z, dev / sim.std_error)
         checked += 1
@@ -199,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", help="output path (default: stdout)")
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sweep.add_argument("--config", help="key=value overrides file")
-    p_sweep.add_argument("--workers", type=int, default=1)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_xopt = sub.add_parser("xopt", help="closed-form optimal MPDU count")

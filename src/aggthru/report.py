@@ -1,14 +1,12 @@
 """Grid sweeps over (flavor, MCS, BER, MSDU size) and comparison tables.
 
 A sweep searches each geometry (flavor, MCS, MSDU size) once for all its
-BERs.  Geometries are independent; reductions are ordered so output never
-depends on how the work was partitioned.  CSV output is byte-stable:
-fixed column order, floats at 6 significant digits, '\\n' line endings.
+BERs.  CSV output is byte-stable: fixed column order, floats at 6
+significant digits, '\\n' line endings.
 """
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import asdict, dataclass, fields
 from typing import Mapping, Optional
 
@@ -67,61 +65,42 @@ CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
 CSV_HEADER = ",".join(CSV_COLUMNS)
 
 
-def _evaluate_geometry(task) -> tuple:
-    """The rows of one flavor, MCS and MSDU size, one per BER, from one search."""
-    flavor, mcs, msdu_len, bers, config, overhead, round_symbols = task
-    rate = phy_rate(config, mcs)
-    scenarios = [Scenario(flavor, mcs, ber, msdu_len) for ber in bers]
-    try:
-        results = optimize_exact_batch(scenarios, config, overhead, round_symbols=round_symbols)
-    except NoFeasiblePlanError:
-        return tuple(SweepRow(flavor, mcs, rate, ber, msdu_len, 0, 0, 0, 0.0, 0.0, 0.0) for ber in bers)
-    return tuple(
-        SweepRow(
-            flavor, mcs, rate, ber, msdu_len, res.plan.x, res.plan.y_base, res.plan.n_extra,
-            res.throughput, res.airtime.data_time, res.airtime.cycle_time,
-        )
-        for ber, res in zip(bers, results)
-    )
-
-
 def run_sweep(
     grid: SweepGrid = SweepGrid(),
     overrides: Optional[Mapping] = None,
     *,
-    workers: int = 1,
     round_symbols: bool = True,
 ) -> list:
     """Optimize every grid point; rows ordered by (flavor, ber, msdu_len, mcs).
 
     Each flavor's configuration is its default with ``overrides`` applied
     (see ``params.resolve_config``).  A plan's airtime does not depend on
-    the BER, so each task is one geometry, a flavor, MCS and MSDU size,
-    searched once for every BER of the grid (``optimize_exact_batch``).
+    the BER, so each geometry, a flavor, MCS and MSDU size, is searched
+    once for every BER of the grid (``optimize_exact_batch``).
     Infeasible points become zero rows instead of aborting the sweep.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    tasks = []
-    for flavor in grid.flavors:
-        config, overhead = resolve_config(flavor, overrides)
-        for msdu_len in grid.msdu_lens:
-            for mcs in range(len(config.mcs_rates)):
-                tasks.append((flavor, mcs, msdu_len, grid.bers, config, overhead, round_symbols))
-    if workers == 1:
-        columns = list(map(_evaluate_geometry, tasks))
-    else:
-        # imported here: the pool pulls in multiprocessing, which a serial sweep
-        # and every plain import of the package would otherwise pay for
-        from concurrent.futures import ProcessPoolExecutor
-
-        # the pool may start all its processes at once: no more than tasks or CPUs
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks), os.cpu_count() or 1)) as pool:
-            columns = list(pool.map(_evaluate_geometry, tasks))
-    # the tasks of one flavor run by (msdu_len, mcs); its rows go BER by BER
     rows = []
     for flavor in grid.flavors:
-        for per_ber in zip(*(col for task, col in zip(tasks, columns) if task[0] is flavor)):
+        config, overhead = resolve_config(flavor, overrides)
+        columns = []   # one per geometry, in (msdu_len, mcs) order: its rows, one per BER
+        for msdu_len in grid.msdu_lens:
+            for mcs in range(len(config.mcs_rates)):
+                rate = phy_rate(config, mcs)
+                scenarios = [Scenario(flavor, mcs, ber, msdu_len) for ber in grid.bers]
+                try:
+                    results = optimize_exact_batch(scenarios, config, overhead, round_symbols=round_symbols)
+                except NoFeasiblePlanError:
+                    columns.append([SweepRow(flavor, mcs, rate, ber, msdu_len, 0, 0, 0, 0.0, 0.0, 0.0)
+                                    for ber in grid.bers])
+                    continue
+                columns.append([
+                    SweepRow(
+                        flavor, mcs, rate, ber, msdu_len, res.plan.x, res.plan.y_base, res.plan.n_extra,
+                        res.throughput, res.airtime.data_time, res.airtime.cycle_time,
+                    )
+                    for ber, res in zip(grid.bers, results)
+                ])
+        for per_ber in zip(*columns):
             rows.extend(per_ber)
     return rows
 

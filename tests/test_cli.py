@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +12,8 @@ import pytest
 import aggthru
 from aggthru import OverheadConfig, ProtocolConfig
 from aggthru.cli import main
+from aggthru.params import load_override_file
+from aggthru.report import SweepGrid, run_sweep
 
 GOLDEN = Path(__file__).parent / "data" / "sweep_default.csv"
 
@@ -109,8 +112,6 @@ def test_crossover_lossy(capsys):
     [
         (("crossover", "--reliable", "--msdu-len", "0"), "msdu_len must be >= 1 byte"),
         (("crossover", "--reliable", "--msdu-len", "-4"), "msdu_len must be >= 1 byte"),
-        (("sweep", "--workers", "0"), "workers must be >= 1"),
-        (("sweep", "--workers", "-3"), "workers must be >= 1"),
     ],
 )
 def test_out_of_range_count_is_a_one_line_error(capsys, argv, message):
@@ -271,6 +272,26 @@ def test_huge_per_mpdu_overhead_is_a_one_line_error(capsys, tmp_path, override, 
 
 
 @pytest.mark.parametrize(
+    "override,argv",
+    [
+        # the coefficient is finite, but times the rate it is not
+        ("ppdu_time_limit = 1e308", ("xopt", "--ber", "1e-5", "--rate", "100000")),
+        (None, ("xopt", "--ber", "0.5", "--rate", "1e308")),
+    ],
+)
+def test_overflowing_x_opt_is_a_one_line_error(capsys, tmp_path, override, argv):
+    if override is not None:
+        cfg = tmp_path / "xopt.cfg"
+        cfg.write_text(override + "\n", encoding="utf-8")
+        argv += ("--config", str(cfg))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("aggthru: error: --rate ")
+    assert "optimal MPDUs per Mbps overflows a double" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("xopt", "--ber", "1e-5", "--rate", "1000"),
@@ -416,3 +437,20 @@ def test_validate_reports_deviation(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["points"] == 408
     assert payload["max_relative_deviation"] < 0.02
+
+
+def test_validate_takes_plans_that_lose_every_mpdu(capsys, tmp_path):
+    # a 9.5 MB MAC header never arrives at BER 1e-5: those plans are feasible
+    # with a throughput of 0, and have no relative deviation
+    cfg = tmp_path / "lost.cfg"
+    cfg.write_text(
+        "mac_header = 9500000\nmax_mpdu_bytes = 10000000\nppdu_time_limit = 20000\nmax_psdu_bytes = none\n",
+        encoding="utf-8",
+    )
+    rows = run_sweep(SweepGrid(), load_override_file(cfg))
+    assert any(row.feasible and row.throughput_mbps == 0.0 for row in rows)
+    code, out, err = run_cli(capsys, "validate", "--cycles", "1000", "--config", str(cfg))
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["points"] == sum(row.feasible for row in rows)
+    assert all(math.isfinite(payload[key]) for key in ("max_relative_deviation", "max_z_score"))

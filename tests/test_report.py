@@ -1,5 +1,3 @@
-import concurrent.futures
-import os
 from pathlib import Path
 
 import pytest
@@ -134,40 +132,3 @@ def test_sweep_rows_follow_the_grid_order_and_match_single_searches():
         assert (row.x, row.y_base, row.n_extra) == (res.plan.x, res.plan.y_base, res.plan.n_extra)
         assert row.throughput_mbps == res.throughput
 
-
-def test_sweep_parallel_matches_serial():
-    grid = SweepGrid(
-        flavors=(ProtocolFlavor.AC64, ProtocolFlavor.AX256),
-        bers=(0.0, 1e-5),
-        msdu_lens=(1500,),
-    )
-    serial = run_sweep(grid, workers=1)
-    parallel = run_sweep(grid, workers=2)
-    assert serial == parallel
-
-
-def test_sweep_pool_is_no_larger_than_its_tasks_and_cpus(monkeypatch):
-    # the pool may start every worker at the first task, so it asks for no
-    # more than there are tasks or CPUs; a serial stand-in records the size
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    grid = SweepGrid(flavors=(ProtocolFlavor.AC64,), bers=(0.0,), msdu_lens=(1500,))   # 10 tasks
-    serial = run_sweep(grid)
-    for cpus, workers in ((4, 10**6), (64, 10**6), (64, 3), (None, 2)):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        assert run_sweep(grid, workers=workers) == serial
-    assert sizes == [4, 10, 3, 1]
