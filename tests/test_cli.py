@@ -358,6 +358,14 @@ def test_usage_error_exits_one(capsys):
     assert exc.value.code == 1
 
 
+def test_sweep_workers_is_a_usage_error(capsys):
+    # the sweep runs in one process and takes no worker count
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--workers", "2"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+
 def test_sweep_grid_file_and_json(capsys, tmp_path):
     grid = tmp_path / "grid.cfg"
     grid.write_text("bers = 0, 1e-5\nmsdu_lens = 1500\nflavors = ac64\n", encoding="utf-8")

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -132,3 +133,16 @@ def test_sweep_rows_follow_the_grid_order_and_match_single_searches():
         assert (row.x, row.y_base, row.n_extra) == (res.plan.x, res.plan.y_base, res.plan.n_extra)
         assert row.throughput_mbps == res.throughput
 
+
+def test_sweep_equals_its_sweeps_per_flavor_and_ber():
+    grid = SweepGrid(
+        flavors=(ProtocolFlavor.AC64, ProtocolFlavor.AX256),
+        bers=(0.0, 1e-5),
+        msdu_lens=(1500,),
+    )
+    pieces = [
+        run_sweep(replace(grid, flavors=(flavor,), bers=(ber,)))
+        for flavor in grid.flavors
+        for ber in grid.bers
+    ]
+    assert run_sweep(grid) == [row for piece in pieces for row in piece]
