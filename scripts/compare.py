@@ -25,8 +25,10 @@ reports, as the fastest of ``REPEATS`` runs unless said otherwise:
 - the cold start of each command of ``CLI``: a fresh ``python -m aggthru``
   process, output discarded;
 - the tier-1 suite (``TIER1``, the command of ROADMAP.md), once per child as
-  a fresh process run in the checkout; failing tests do not stop it, a
-  suite that cannot run does;
+  a fresh process run in the checkout: its wall time, and its passed and
+  failed counts from pytest's summary line (``tier1`` of each side, one
+  entry per child); failing tests do not stop it, a suite that cannot run
+  does;
 - a SHA-256 digest of each output family (``_digests``).
 
 The report, JSON, gives each side's git SHA and digests and the median and
@@ -40,6 +42,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -239,14 +242,21 @@ def _cli_cold() -> dict:
     return {f"cli.{command}.cold_s": _fastest(lambda: run(argv), REPEATS) for command, argv in CLI.items()}
 
 
-def _tier1() -> dict:
-    """The tier-1 suite as one fresh process of this checkout [s]."""
+def _tier1() -> tuple:
+    """The tier-1 suite as one fresh process of this checkout: its wall time [s] and its counts.
+
+    The counts come from pytest's summary line, e.g. ``2 failed, 376 passed
+    in 12.01s``; ``passed`` and ``failed`` are always present.
+    """
     start = time.perf_counter()
-    proc = subprocess.run([sys.executable, *TIER1], stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    proc = subprocess.run([sys.executable, *TIER1], capture_output=True, text=True)
     elapsed = time.perf_counter() - start
     if proc.returncode not in (0, 1):   # 1: some tests failed; anything else: the suite did not run
         raise RuntimeError(f"tier-1 suite exited with {proc.returncode}")
-    return {"tier1.wall_s": elapsed}
+    summary = proc.stdout.strip().splitlines()[-1]
+    counts = {"passed": 0, "failed": 0}
+    counts.update((word, int(n)) for n, word in re.findall(r"(\d+) (\w+)", summary))
+    return {"tier1.wall_s": elapsed}, dict(counts, summary=summary)
 
 
 def _digest(value) -> str:
@@ -325,8 +335,10 @@ def _digests() -> dict:
 def _child() -> dict:
     import numpy as np
 
+    tier1_wall, tier1 = _tier1()
     return {
-        "timings": {**_kernel(), **_optimizer(), **_cli_cold(), **_tier1()},
+        "timings": {**_kernel(), **_optimizer(), **_cli_cold(), **tier1_wall},
+        "tier1": tier1,
         "digests": _digests(),
         "numpy": np.__version__,
     }
@@ -377,6 +389,7 @@ def main(argv=None) -> int:
             "git_sha": _git_sha(checkout),
             "numpy": runs[side][0]["numpy"],
             "digests": runs[side][0]["digests"],
+            "tier1": [run["tier1"] for run in runs[side]],   # the suite's counts, one per child
             "timings": {
                 name: dict(_summary([run["timings"][name] for run in runs[side]]), unit=unit)
                 for name, unit in UNITS.items()

@@ -93,10 +93,11 @@ def x_opt_coefficient(ber: float, o_m_bits: int, t_limit: float, preamble: float
     the positive root of a X^2 - a b D X + b D^2 = 0.  X is proportional
     to R, so the coefficient X/R depends only on BER, overhead and budget.
     """
-    if ber <= 0.0:
-        raise ValueError("use reliable-channel crossover instead")
-    if ber >= 1.0:
-        raise ValueError(f"bit error rate must lie in [0, 1), got {ber}")
+    if not 0.0 < ber < 1.0:
+        raise ValueError(
+            f"bit error rate must lie in (0, 1), got {ber}: for BER 0 use the "
+            "reliable-channel crossover, 'crossover --reliable'"
+        )
     # compared before converting: an int overhead may be larger than any double
     if not 0 < o_m_bits <= sys.float_info.max:
         shown = f"> {sys.float_info.max:.6g}" if o_m_bits > sys.float_info.max else o_m_bits
@@ -151,8 +152,12 @@ def crossover_rate_reliable(
     msdu = MsduSlot.for_payload(msdu_len, overhead)
     full_mpdu = mpdu_bytes(y_max(msdu, overhead, config), msdu, overhead)
     span = config.ppdu_time_limit - config.preamble
+    if not span > 0:
+        raise ValueError(f"ppdu_time_limit - preamble must be > 0 us, got {span:g}")
     discrete = 8.0 * BA64_FRAMES * full_mpdu / span
     continuous = 8.0 * BA64_FRAMES * config.max_mpdu_bytes / span
+    if continuous == math.inf:   # continuous >= discrete
+        raise ValueError("crossover rate overflows a double: max_mpdu_bytes / (ppdu_time_limit - preamble) too large")
     return ReliableCrossover(discrete, continuous)
 
 
@@ -179,6 +184,9 @@ def crossover_mcs(
         config.preamble,
     )
     threshold = BA64_FRAMES / coefficient
+    if threshold == math.inf:
+        raise ValueError(f"crossover rate overflows a double: {coefficient:g} optimal MPDUs per Mbps, "
+                         "ppdu_time_limit - preamble too small")
     return CrossoverReport(
         ber=ber,
         x_opt_coefficient=coefficient,

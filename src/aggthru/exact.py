@@ -55,16 +55,14 @@ def throughput_exact(
     scenario: Scenario,
     config: ProtocolConfig,
     overhead: OverheadConfig = DEFAULT_OVERHEAD,
-    *,
-    round_symbols: bool = True,
 ) -> ThroughputResult:
-    """Expected throughput of a feasible plan [Mbps].
+    """Expected throughput of a feasible plan [Mbps], in whole OFDM symbols.
 
     Raises ``InfeasiblePlanError`` with the first limit the plan violates,
     checked in the order of ``Link.verdict``.  The plan's PSDU bits are
     computed once and shared by the verdict and the airtime.
     """
-    link = Link.of(scenario, config, overhead, round_symbols=round_symbols)
+    link = Link.of(scenario, config, overhead)
     m = plan.total_msdus
     bits = link.psdu_bits(plan.x, m)
     verdict = link.verdict(plan, bits)
@@ -90,8 +88,6 @@ def optimize_exact(
     scenario: Scenario,
     config: ProtocolConfig,
     overhead: OverheadConfig = DEFAULT_OVERHEAD,
-    *,
-    round_symbols: bool = True,
 ) -> ThroughputResult:
     """Throughput-maximizing plan, exact over every balanced plan.
 
@@ -176,7 +172,7 @@ def optimize_exact(
       below it: the argument above holds as it stands.  On one channel the
       seed costs more than it prunes, so it is left out there.
     """
-    return _search([Link.of(scenario, config, overhead, round_symbols=round_symbols)])[0]
+    return _search([Link.of(scenario, config, overhead)])[0]
 
 
 def _any_channel(mask):
@@ -193,7 +189,7 @@ def optimize_exact_batch(
 ) -> tuple:
     """``optimize_exact`` of every scenario, from one search; they may differ only in BER.
 
-    The search, and why it is exact for each channel, is described under
+    ``round_symbols`` is passed to ``Link.of``.  The search, and why it is exact for each channel, is described under
     ``optimize_exact``.  It raises as that does, for every scenario at
     once: whether any plan fits depends on the geometry, not the channel.
     """

@@ -184,7 +184,9 @@ class Link:
     ) -> "Link":
         """The link of ``scenario`` under ``config``, whose flavor it must share.
 
-        A caller that repeats its last arguments, the same objects (``is``),
+        ``round_symbols=False`` replaces the ceiling to whole OFDM symbols by
+        exact division, the continuous approximation that bounds the rounding
+        error; this is the one place the symbol mode is chosen.  A caller that repeats its last arguments, the same objects (``is``),
         gets the last link back; any other call builds a new one.
         """
         global _last_link
@@ -313,7 +315,7 @@ class Link:
             return self.payload_bits * (n * v(y + 1) + (x - n) * v(y))
         return self.payload_bits * (x * v(y))
 
-    def scores(self, x, m, v=None):
+    def scores(self, x, m, v):
         """``goodput / cycle_time`` of ``x`` MPDUs carrying ``m`` MSDUs [Mbps], and its bound.
 
         The bound is the same ratio with unrounded symbols, which never
@@ -363,16 +365,9 @@ def airtime(
     scenario: Scenario,
     config: ProtocolConfig,
     overhead: OverheadConfig = DEFAULT_OVERHEAD,
-    *,
-    round_symbols: bool = True,
 ) -> AirtimeBreakdown:
-    """Airtime of a plan; makes no feasibility judgment.
-
-    ``round_symbols=False`` replaces the ceiling to whole OFDM symbols by
-    exact division, which is the continuous approximation used to bound the
-    rounding error.
-    """
-    return Link.of(scenario, config, overhead, round_symbols=round_symbols).airtime(plan)
+    """Airtime of a plan in whole OFDM symbols; makes no feasibility judgment."""
+    return Link.of(scenario, config, overhead).airtime(plan)
 
 
 def is_feasible(
@@ -380,8 +375,6 @@ def is_feasible(
     scenario: Scenario,
     config: ProtocolConfig,
     overhead: OverheadConfig = DEFAULT_OVERHEAD,
-    *,
-    round_symbols: bool = True,
 ) -> Feasibility:
     """First violated transmission limit, or OK."""
-    return Link.of(scenario, config, overhead, round_symbols=round_symbols).verdict(plan)
+    return Link.of(scenario, config, overhead).verdict(plan)

@@ -8,6 +8,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import aggthru
 from aggthru import OverheadConfig, ProtocolConfig
@@ -306,6 +307,73 @@ def test_no_per_mpdu_overhead_is_a_one_line_error(capsys, tmp_path, argv):
     assert out == ""
     assert err.startswith("aggthru: error: per-MPDU overhead must be finite and > 0")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "override,argv,message",
+    [
+        # no time is left after the preamble, or less than none
+        ("ppdu_time_limit = 64.8", ("crossover", "--reliable"), "ppdu_time_limit - preamble must be > 0 us"),
+        ("ppdu_time_limit = 60", ("crossover", "--reliable"), "ppdu_time_limit - preamble must be > 0 us"),
+        ("max_mpdu_bytes = 1e306", ("crossover", "--reliable"),
+         "crossover rate overflows a double: max_mpdu_bytes / (ppdu_time_limit - preamble)"),
+        # a positive but subnormal coefficient: 64 frames over it is no double
+        ("preamble = 0\nppdu_time_limit = 1e-310", ("crossover", "--ber", "1e-5"),
+         "crossover rate overflows a double"),
+        (None, ("crossover", "--ber", "-1"), "bit error rate must lie in (0, 1), got -1.0"),
+        (None, ("crossover", "--ber", "0"), "bit error rate must lie in (0, 1), got 0.0"),
+    ],
+)
+def test_out_of_range_crossover_is_a_one_line_error(capsys, tmp_path, override, argv, message):
+    if override is not None:
+        cfg = tmp_path / "crossover.cfg"
+        cfg.write_text(override + "\n", encoding="utf-8")
+        argv += ("--config", str(cfg))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"aggthru: error: {message}")
+    assert err.count("\n") == 1
+
+
+CLOSED_FORM_COMMANDS = (
+    ("xopt", "--ber", "1e-5", "--rate", "4803"),
+    ("crossover", "--ber", "1e-6"),
+    ("crossover", "--reliable"),
+)
+CLOSED_FORM_KEYS = (
+    "ppdu_time_limit", "preamble", "max_mpdu_bytes", "mac_header", "symbol_time", "aifs", "backoff", "sifs",
+)
+# from the smallest subnormal to 1e308; an integer setting takes the whole
+# numbers among the floats and every drawn integer
+OVERRIDE_VALUES = st.one_of(st.floats(min_value=0.0, max_value=1e308), st.integers(min_value=0, max_value=10**6))
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"non-standard JSON constant {name}")
+
+
+# ``optimize`` is left out: with huge limits its search time and memory still
+# grow with the limits, so one example could take seconds or gigabytes
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(overrides=st.dictionaries(st.sampled_from(CLOSED_FORM_KEYS), OVERRIDE_VALUES))
+@example({"ppdu_time_limit": 64.8})   # the ax preamble: no time left
+@example({"ppdu_time_limit": 60})     # less than no time
+@example({"max_mpdu_bytes": 1e306})   # a crossover rate too large for a double
+def test_closed_form_commands_answer_or_fail_in_one_line(capsys, tmp_path, overrides):
+    cfg = tmp_path / "drawn.cfg"
+    cfg.write_text("".join(f"{key} = {value!r}\n" for key, value in overrides.items()), encoding="utf-8")
+    for argv in CLOSED_FORM_COMMANDS:
+        code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+        if code == 0:
+            assert err == ""
+            payload = json.loads(out, parse_constant=_refuse_constant)
+            # rates, counts and coefficients are never negative
+            assert all(value is None or value >= 0 for value in payload.values()), payload
+        else:
+            assert (code, out) == (1, "")
+            assert err.startswith("aggthru: error: ") and err.count("\n") == 1
+            assert "JSON compliant" not in err   # the error names a setting, not the encoder
 
 
 def test_fractional_integer_override_is_a_one_line_error(capsys, tmp_path):

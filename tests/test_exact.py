@@ -15,7 +15,6 @@ from aggthru import (
     InfeasiblePlanError,
     Link,
     MsduSlot,
-    MsduTooLargeError,
     NoFeasiblePlanError,
     OverheadConfig,
     ProtocolFlavor,
@@ -90,28 +89,32 @@ def test_throughput_strictly_decreasing_in_ber():
 def _brute_force(scenario, config, overhead=DEFAULT_OVERHEAD, *, round_symbols=True):
     """Scalar reference search over every balanced plan, same tie-breaks.
 
-    Returns (-inf, None) when no plan is feasible.
+    Each plan is scored through one ``Link``, as ``throughput_exact`` scores
+    it (``test_kernel_is_the_composition_of_the_link_methods``), in either
+    symbol mode.  Returns (-inf, None) when no plan is feasible.
     """
-    slot = MsduSlot.for_payload(scenario.msdu_len, overhead)
-    try:
-        ym = y_max(slot, overhead, config)
-    except MsduTooLargeError:
-        return (-math.inf, None)
+    link = Link.of(scenario, config, overhead, round_symbols=round_symbols)
     best = (-math.inf, None)
     for x in range(1, config.max_mpdus + 1):
-        for y in range(1, ym + 1):
+        for y in range(1, link.y_cap + 1):
             for n in range(0, x):
-                if n and y + 1 > ym:
+                if n and y + 1 > link.y_cap:
                     break
                 plan = AggregationPlan(x, y, n)
-                if not is_feasible(plan, scenario, config, overhead, round_symbols=round_symbols).ok:
+                if not link.verdict(plan).ok:
                     break  # airtime grows with n
-                thr = throughput_exact(
-                    plan, scenario, config, overhead, round_symbols=round_symbols
-                ).throughput
+                m = plan.total_msdus
+                thr = link.goodput(x, m) / link.airtime(plan).cycle_time
                 if thr > best[0]:
                     best = (thr, plan)
     return best
+
+
+def _optimize(scenario, config, overhead=DEFAULT_OVERHEAD, *, round_symbols=True):
+    """``optimize_exact``; unrounded, the batch of one scenario, which is the same search."""
+    if round_symbols:
+        return optimize_exact(scenario, config, overhead)
+    return optimize_exact_batch([scenario], config, overhead, round_symbols=False)[0]
 
 
 @pytest.mark.parametrize("flavor,mcs", [(ProtocolFlavor.AC64, 0), (ProtocolFlavor.AC64, 9), (ProtocolFlavor.AX256, 11)])
@@ -262,9 +265,9 @@ def test_optimizer_matches_brute_force_property(
     expected_thr, expected_plan = _brute_force(scenario, config, overhead, round_symbols=round_symbols)
     if expected_plan is None:
         with pytest.raises(NoFeasiblePlanError):
-            optimize_exact(scenario, config, overhead, round_symbols=round_symbols)
+            _optimize(scenario, config, overhead, round_symbols=round_symbols)
         return
-    res = optimize_exact(scenario, config, overhead, round_symbols=round_symbols)
+    res = _optimize(scenario, config, overhead, round_symbols=round_symbols)
     assert res.plan == expected_plan
     assert res.throughput == expected_thr
 
@@ -334,7 +337,7 @@ def test_optimizer_matches_exhaustive_scan_at_default_windows(
         overhead = ZERO_CYCLE_OVERHEAD
     scenario = Scenario(flavor, mcs, ber, msdu_len)
     expected_thr, expected_plan = _exhaustive_scan(scenario, config, overhead, round_symbols=round_symbols)
-    res = optimize_exact(scenario, config, overhead, round_symbols=round_symbols)
+    res = _optimize(scenario, config, overhead, round_symbols=round_symbols)
     assert res.plan == expected_plan
     assert res.throughput == expected_thr
 
@@ -406,11 +409,11 @@ def test_batch_equals_each_channel_alone(flavor, mcs, msdu_len, bers, round_symb
     except NoFeasiblePlanError:
         for scenario in scenarios:
             with pytest.raises(NoFeasiblePlanError):
-                optimize_exact(scenario, config, overhead, round_symbols=round_symbols)
+                _optimize(scenario, config, overhead, round_symbols=round_symbols)
         return
     assert len(batch) == len(scenarios)
     for scenario, res in zip(scenarios, batch):
-        alone = optimize_exact(scenario, config, overhead, round_symbols=round_symbols)
+        alone = _optimize(scenario, config, overhead, round_symbols=round_symbols)
         assert (res.plan, res.throughput) == (alone.plan, alone.throughput)
         assert res == alone
 
@@ -485,20 +488,23 @@ def test_optimizer_unrounded_not_below_rounded():
     ):
         cfg = default_config(sc.flavor)
         rounded = optimize_exact(sc, cfg).throughput
-        unrounded = optimize_exact(sc, cfg, round_symbols=False).throughput
+        unrounded = optimize_exact_batch([sc], cfg, round_symbols=False)[0].throughput
         assert unrounded >= rounded
 
 
 @pytest.mark.parametrize("round_symbols", [True, False])
 def test_results_do_not_depend_on_the_link_cache(round_symbols):
+    # the rounded wrappers run after a link of either mode
     sc = Scenario(ProtocolFlavor.AX256, 9, 1e-5, 512)
     plan = AggregationPlan(100, 3, 5)
 
     def results(clear):
         out = []
         for call in (
-            lambda: optimize_exact(sc, AX256, round_symbols=round_symbols),
-            lambda: throughput_exact(plan, sc, AX256, round_symbols=round_symbols),
+            lambda: optimize_exact_batch([sc], AX256, round_symbols=round_symbols),
+            lambda: Link.of(sc, AX256, round_symbols=round_symbols).airtime(plan),
+            lambda: optimize_exact(sc, AX256),
+            lambda: throughput_exact(plan, sc, AX256),
         ):
             if clear:
                 geometry._last_link = (None,) * 5
@@ -514,33 +520,32 @@ def test_results_do_not_depend_on_the_link_cache(round_symbols):
     ber=st.one_of(st.just(0.0), st.floats(min_value=1e-9, max_value=1e-3)),
     msdu_len=st.integers(min_value=1, max_value=2304),
     zero_overhead=st.booleans(),
-    round_symbols=st.booleans(),
     x=st.integers(min_value=1, max_value=300),
     y_base=st.integers(min_value=0, max_value=12),
     n_extra=st.integers(min_value=0, max_value=299),
 )
-@example(ProtocolFlavor.AX256, 7, 1e-5, 1500, False, True, 256, 1, 6)  # feasible, two MPDU sizes
-@example(ProtocolFlavor.AX256, 7, 0.0, 1500, True, False, 256, 7, 0)   # over the time limit
-@example(ProtocolFlavor.AC64, 9, 1e-6, 64, False, True, 65, 1, 0)      # too many MPDUs
+@example(ProtocolFlavor.AX256, 7, 1e-5, 1500, False, 256, 1, 6)  # feasible, two MPDU sizes
+@example(ProtocolFlavor.AX256, 7, 0.0, 1500, True, 256, 7, 0)    # over the time limit
+@example(ProtocolFlavor.AC64, 9, 1e-6, 64, False, 65, 1, 0)      # too many MPDUs
 def test_kernel_is_the_composition_of_the_link_methods(
-    flavor, mcs, ber, msdu_len, zero_overhead, round_symbols, x, y_base, n_extra,
+    flavor, mcs, ber, msdu_len, zero_overhead, x, y_base, n_extra,
 ):
     cfg = default_config(flavor)
     overhead = ZERO_CYCLE_OVERHEAD if zero_overhead else DEFAULT_OVERHEAD
     sc = Scenario(flavor, mcs % len(cfg.mcs_rates), ber, msdu_len)
     n_extra %= x
     plan = AggregationPlan(x, max(y_base, n_extra == 0), n_extra)
-    link = Link.of(sc, cfg, overhead, round_symbols=round_symbols)
+    link = Link.of(sc, cfg, overhead)
     verdict = link.verdict(plan)
     if not verdict.ok:
         with pytest.raises(InfeasiblePlanError) as exc:
-            throughput_exact(plan, sc, cfg, overhead, round_symbols=round_symbols)
+            throughput_exact(plan, sc, cfg, overhead)
         assert exc.value.verdict is verdict
         return
     air = link.airtime(plan)
     good = link.goodput(plan.x, plan.total_msdus)
     expected = ThroughputResult(good / air.cycle_time, plan, air, good)
-    assert repr(throughput_exact(plan, sc, cfg, overhead, round_symbols=round_symbols)) == repr(expected)
+    assert repr(throughput_exact(plan, sc, cfg, overhead)) == repr(expected)
 
 
 def test_success_probability():

@@ -165,7 +165,7 @@ def test_airtime_monotonic_in_plan_size():
 def test_airtime_unrounded():
     sc = Scenario(ProtocolFlavor.AC64, 9, 0.0, 1500)
     plan = AggregationPlan(64, 7, 0)
-    air = airtime(plan, sc, AC, round_symbols=False)
+    air = Link.of(sc, AC, round_symbols=False).airtime(plan)
     assert air.symbols == pytest.approx(5451798 / 12480, rel=1e-12)
     assert air.data_time < airtime(plan, sc, AC).data_time
 
@@ -236,7 +236,7 @@ def test_link_time_limit_matches_airtime(flavor, mcs, msdu_len, ppdu_time_limit,
     cfg = replace(default_config(flavor), ppdu_time_limit=ppdu_time_limit, max_psdu_bytes=None)
     sc = Scenario(flavor, mcs % len(cfg.mcs_rates), 0.0, msdu_len)
     link = Link.of(sc, cfg, round_symbols=round_symbols)
-    air = airtime(AggregationPlan(x, y, 0), sc, cfg, round_symbols=round_symbols)
+    air = link.airtime(AggregationPlan(x, y, 0))
     assert link.within_time_limit(air.psdu_bits) == (air.ppdu_time <= ppdu_time_limit)
     cap = link.bit_cap
     if cap >= 0:
