@@ -94,10 +94,8 @@ def x_opt_coefficient(ber: float, o_m_bits: int, t_limit: float, preamble: float
     to R, so the coefficient X/R depends only on BER, overhead and budget.
     """
     if not 0.0 < ber < 1.0:
-        raise ValueError(
-            f"bit error rate must lie in (0, 1), got {ber}: for BER 0 use the "
-            "reliable-channel crossover, 'crossover --reliable'"
-        )
+        raise ValueError(f"bit error rate must lie in (0, 1), got {ber}: "
+                         "for BER 0 use the reliable-channel crossover, 'crossover --reliable'")
     # compared before converting: an int overhead may be larger than any double
     if not 0 < o_m_bits <= sys.float_info.max:
         shown = f"> {sys.float_info.max:.6g}" if o_m_bits > sys.float_info.max else o_m_bits
@@ -157,7 +155,8 @@ def crossover_rate_reliable(
     discrete = 8.0 * BA64_FRAMES * full_mpdu / span
     continuous = 8.0 * BA64_FRAMES * config.max_mpdu_bytes / span
     if continuous == math.inf:   # continuous >= discrete
-        raise ValueError("crossover rate overflows a double: max_mpdu_bytes / (ppdu_time_limit - preamble) too large")
+        raise ValueError("crossover rate overflows a double: "
+                         "max_mpdu_bytes / (ppdu_time_limit - preamble) too large")
     return ReliableCrossover(discrete, continuous)
 
 

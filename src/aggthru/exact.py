@@ -189,9 +189,10 @@ def optimize_exact_batch(
 ) -> tuple:
     """``optimize_exact`` of every scenario, from one search; they may differ only in BER.
 
-    ``round_symbols`` is passed to ``Link.of``.  The search, and why it is exact for each channel, is described under
-    ``optimize_exact``.  It raises as that does, for every scenario at
-    once: whether any plan fits depends on the geometry, not the channel.
+    ``round_symbols`` is passed to ``Link.of``.  The search, and why it is
+    exact for each channel, is described under ``optimize_exact``.  It
+    raises as that does, for every scenario at once: whether any plan fits
+    depends on the geometry, not the channel.
     """
     if len({(s.flavor, s.mcs, s.msdu_len) for s in scenarios}) != 1:
         raise ValueError("one search takes one or more scenarios that differ only in BER")

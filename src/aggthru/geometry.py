@@ -186,8 +186,9 @@ class Link:
 
         ``round_symbols=False`` replaces the ceiling to whole OFDM symbols by
         exact division, the continuous approximation that bounds the rounding
-        error; this is the one place the symbol mode is chosen.  A caller that repeats its last arguments, the same objects (``is``),
-        gets the last link back; any other call builds a new one.
+        error; this is the one place the symbol mode is chosen.  A caller
+        that repeats its last arguments, the same objects (``is``), gets the
+        last link back; any other call builds a new one.
         """
         global _last_link
         last_scenario, last_config, last_overhead, last_round, link = _last_link
