@@ -29,9 +29,14 @@ reports, as the fastest of ``REPEATS`` runs unless said otherwise:
   failed counts from pytest's summary line (``tier1`` of each side, one
   entry per child); failing tests do not stop it, a suite that cannot run
   does;
-- a SHA-256 digest of each output family (``_digests``).
+- a SHA-256 digest of each output family (``_digests``);
+- outside the timed runs, the function calls ``cProfile`` records (``_calls``)
+  per cold ``optimize_exact`` over the default grid and over the
+  ``scenario-mix`` requests, and per default sweep (``_counts``): the same on
+  every run, so they show a change in work too small for the timings.
 
-The report, JSON, gives each side's git SHA and digests and the median and
+The report, JSON, gives each side's git SHA, whether its tracked files differ
+from that commit (``dirty``), its digests and counts, and the median and
 quartiles of each timing over its children; with two checkouts also the
 AFTER/BEFORE ratio of the medians.  The exit status is 1 if any digest
 differs, between the sides or between the children of one side.
@@ -39,9 +44,11 @@ differs, between the sides or between the children of one side.
 from __future__ import annotations
 
 import argparse
+import cProfile
 import hashlib
 import json
 import os
+import pstats
 import re
 import statistics
 import subprocess
@@ -130,6 +137,54 @@ def _cold_reset() -> None:
     geometry._last_link = (None,) * 5
 
 
+def _calls(call, *args) -> int:
+    """Function calls ``cProfile`` records in one cold ``call(*args)`` (see ``_cold_reset``).
+
+    Python functions and the built-in ones they call, numpy's included; a
+    ``NoFeasiblePlanError`` ends the call as a return would.
+    """
+    from aggthru import NoFeasiblePlanError
+
+    profile = cProfile.Profile()
+    _cold_reset()
+    try:
+        profile.runcall(call, *args)
+    except NoFeasiblePlanError:
+        pass
+    return pstats.Stats(profile).total_calls
+
+
+def _grid():
+    """``(flavor, size class, scenario, config)`` of every point of the default grid."""
+    from aggthru import ProtocolFlavor, Scenario, default_config
+    from aggthru.report import DEFAULT_BERS, DEFAULT_MSDU_LENS
+
+    for flavor in FLAVORS:
+        config = default_config(ProtocolFlavor(flavor))
+        for msdu_len in DEFAULT_MSDU_LENS:
+            size = SIZE_CLASSES[0 if msdu_len < 256 else 1 if msdu_len < 1024 else 2]
+            for mcs in range(len(config.mcs_rates)):
+                for ber in DEFAULT_BERS:
+                    yield flavor, size, Scenario(ProtocolFlavor(flavor), mcs, ber, msdu_len), config
+
+
+def _scenario_mix():
+    """``(scenario, config, overhead)`` of each seed-1 ``scenario-mix`` request of the checkout."""
+    from aggthru import Scenario, default_config, params
+
+    bench = str(Path.cwd() / "bench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    from workloads import scenario_mix_requests
+
+    for request in scenario_mix_requests(1):
+        overrides = params.parse_override_text(request.override_text)
+        config, overhead = params.apply_overrides(
+            default_config(request.flavor), params.DEFAULT_OVERHEAD, overrides,
+        )
+        yield Scenario(request.flavor, request.mcs, request.ber, request.msdu_len), config, overhead
+
+
 def _kernel() -> dict:
     """Per call of every entry of ``KERNEL``; the fastest repeat of an autoranged loop."""
     import timeit
@@ -180,10 +235,7 @@ def _optimizer() -> dict:
     import numpy as np
 
     from aggthru import NoFeasiblePlanError, ProtocolFlavor, Scenario, default_config, optimize_exact, params
-    from aggthru.report import DEFAULT_BERS, DEFAULT_MSDU_LENS, SweepGrid, run_sweep
-
-    sys.path.insert(0, str(Path.cwd() / "bench"))
-    from workloads import scenario_mix_requests
+    from aggthru.report import SweepGrid, run_sweep
 
     def cold_ms(scenario, config, overhead=params.DEFAULT_OVERHEAD) -> float:
         def call():
@@ -195,28 +247,16 @@ def _optimizer() -> dict:
 
     out = {}
     by_class, grid = {}, []
-    for flavor in FLAVORS:
-        config = default_config(ProtocolFlavor(flavor))
-        for msdu_len in DEFAULT_MSDU_LENS:
-            size = SIZE_CLASSES[0 if msdu_len < 256 else 1 if msdu_len < 1024 else 2]
-            for mcs in range(len(config.mcs_rates)):
-                for ber in DEFAULT_BERS:
-                    ms = cold_ms(Scenario(ProtocolFlavor(flavor), mcs, ber, msdu_len), config)
-                    by_class.setdefault((flavor, size), []).append(ms)
-                    grid.append(ms)
+    for flavor, size, scenario, config in _grid():
+        ms = cold_ms(scenario, config)
+        by_class.setdefault((flavor, size), []).append(ms)
+        grid.append(ms)
     for (flavor, size), times in by_class.items():
         out[f"optimize_exact.{flavor}.{size}.ms_mean"] = statistics.fmean(times)
     out["optimize_exact.grid.ms_p50"] = float(np.percentile(grid, 50))
     out["optimize_exact.grid.ms_p90"] = float(np.percentile(grid, 90))
 
-    mix = []
-    for request in scenario_mix_requests(1):
-        overrides = params.parse_override_text(request.override_text)
-        config, overhead = params.apply_overrides(
-            default_config(request.flavor), params.DEFAULT_OVERHEAD, overrides,
-        )
-        scenario = Scenario(request.flavor, request.mcs, request.ber, request.msdu_len)
-        mix.append(cold_ms(scenario, config, overhead))
+    mix = [cold_ms(*search) for search in _scenario_mix()]
     out["optimize_exact.scenario_mix.ms_p50"] = float(np.percentile(mix, 50))
     out["optimize_exact.scenario_mix.ms_p90"] = float(np.percentile(mix, 90))
 
@@ -233,6 +273,20 @@ def _optimizer() -> dict:
     out["huge_1e5.peak_alloc_mb"] = tracemalloc.get_traced_memory()[1] / 1e6
     tracemalloc.stop()
     return out
+
+
+def _counts() -> dict:
+    """Function calls (``_calls``) per cold search of the grid and of ``scenario-mix``, and per sweep."""
+    from aggthru import optimize_exact, params
+    from aggthru.report import SweepGrid, run_sweep
+
+    grid = [_calls(optimize_exact, scenario, config, params.DEFAULT_OVERHEAD) for *_, scenario, config in _grid()]
+    mix = [_calls(optimize_exact, *search) for search in _scenario_mix()]
+    return {
+        "optimize_exact.grid.calls_per_search": statistics.fmean(grid),
+        "optimize_exact.scenario_mix.calls_per_search": statistics.fmean(mix),
+        "sweep.rounded.calls": _calls(run_sweep, SweepGrid()),
+    }
 
 
 def _cli_cold() -> dict:
@@ -339,6 +393,7 @@ def _child() -> dict:
     return {
         "timings": {**_kernel(), **_optimizer(), **_cli_cold(), **tier1_wall},
         "tier1": tier1,
+        "counts": _counts(),
         "digests": _digests(),
         "numpy": np.__version__,
     }
@@ -357,6 +412,15 @@ def _run_child(checkout: Path) -> dict:
 def _git_sha(checkout: Path):
     proc = subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"], capture_output=True, text=True)
     return proc.stdout.strip() or None
+
+
+def _git_dirty(checkout: Path):
+    """Whether tracked files of ``checkout`` differ from its HEAD; None outside a git checkout."""
+    proc = subprocess.run(
+        ["git", "-C", str(checkout), "status", "--porcelain", "--untracked-files=no"],
+        capture_output=True, text=True,
+    )
+    return bool(proc.stdout.strip()) if proc.returncode == 0 else None
 
 
 def _summary(values: list) -> dict:
@@ -387,8 +451,10 @@ def main(argv=None) -> int:
         sides.append({
             "side": ("before", "after")[side] if len(checkouts) == 2 else "this",
             "git_sha": _git_sha(checkout),
+            "dirty": _git_dirty(checkout),
             "numpy": runs[side][0]["numpy"],
             "digests": runs[side][0]["digests"],
+            "counts": runs[side][0]["counts"],   # the same on every child
             "tier1": [run["tier1"] for run in runs[side]],   # the suite's counts, one per child
             "timings": {
                 name: dict(_summary([run["timings"][name] for run in runs[side]]), unit=unit)

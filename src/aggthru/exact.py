@@ -149,8 +149,8 @@ def optimize_exact(
     plan, under the ``Link``'s ``y_cap`` and ``bit_cap``, the limits
     ``is_feasible`` checks; the lowest ``(x, M)`` among the maxima wins.
 
-    ``optimize_exact_batch`` runs this search for several channels (BERs) of
-    one geometry at once, and this function is its one-channel call.  A
+    ``optimize_exact_batch`` runs this search for one or more channels (BERs)
+    of one geometry at once, and this function is its batch of one.  A
     plan's airtime does not depend on the channel, only its goodput does, so
     each candidate is generated and timed once and scored per channel, with
     that channel's ``v(y)``.  Two more arguments keep every channel's result
@@ -169,15 +169,12 @@ def optimize_exact(
       these and the caps.  Without it the union is as wide as the widest
       channel's interval.  A seed is a feasible plan, so ``best`` still
       never exceeds the channel's maximum, and a kink left out still scores
-      below it: the argument above holds as it stands.  On one channel the
-      seed costs more than it prunes, so it is left out there.
+      below it: the argument above holds as it stands.  A batch of one has
+      no union to narrow and is not seeded: seeding it raised the function
+      calls per search over the seed-1 ``scenario-mix`` requests from 277 to
+      290 (``cProfile`` counts of ``scripts/compare.py``).
     """
-    return _search([Link.of(scenario, config, overhead)])[0]
-
-
-def _any_channel(mask):
-    """``mask`` reduced over its leading channel axis, if it has one."""
-    return mask.any(axis=0) if mask.ndim > 1 else mask
+    return optimize_exact_batch([scenario], config, overhead)[0]
 
 
 def optimize_exact_batch(
@@ -189,20 +186,16 @@ def optimize_exact_batch(
 ) -> tuple:
     """``optimize_exact`` of every scenario, from one search; they may differ only in BER.
 
-    ``round_symbols`` is passed to ``Link.of``.  The search, and why it is
-    exact for each channel, is described under ``optimize_exact``.  It
-    raises as that does, for every scenario at once: whether any plan fits
-    depends on the geometry, not the channel.
+    ``round_symbols`` is passed to ``Link.of``.  This is the search of
+    ``optimize_exact``, which describes it and argues why it is exact for
+    each channel; ``optimize_exact`` is its batch of one.  It raises as that
+    does, for every scenario at once: whether any plan fits depends on the
+    geometry, not the channel.
     """
     if len({(s.flavor, s.mcs, s.msdu_len) for s in scenarios}) != 1:
         raise ValueError("one search takes one or more scenarios that differ only in BER")
-    return _search([Link.of(s, config, overhead, round_symbols=round_symbols) for s in scenarios])
-
-
-def _search(links) -> tuple:
-    """The search of ``optimize_exact``, one result per link; the links differ only in BER."""
+    links = [Link.of(s, config, overhead, round_symbols=round_symbols) for s in scenarios]
     link = links[0]
-    config, round_symbols = link.config, link.round_symbols
     c0, step = link.c0, link.step
     # no plan within the frame-count and MPDU-size caps has a larger PSDU, so
     # this cap changes no verdict; it keeps a huge time limit's budget in int64
@@ -216,15 +209,10 @@ def _search(links) -> tuple:
         raise ValueError("the PSDU budget overflows 64-bit counts: ppdu_time_limit, max_mpdus, "
                          "max_mpdu_bytes or service_tail_bits too large, or symbol_time too short")
 
-    # v(y) for y = 0..ym+1; index ym+1 exists only so lookups stay in bounds
-    # (it is always multiplied by a zero count).  Several channels get one row
-    # each, so every lookup and every score gains a leading channel axis;
-    # one channel keeps flat arrays and a float best, which are cheaper.
-    batch = len(links) > 1
-    if batch:
-        v = functools.partial(np.array([each.v_table(ym + 2) for each in links]).take, axis=1)
-    else:
-        v = link.v_table(ym + 2).take
+    # v(y) for y = 0..ym+1, one row per channel; index ym+1 exists only so
+    # lookups stay in bounds (it is always multiplied by a zero count).  Every
+    # lookup and every score has a leading channel axis, also for one channel.
+    v = functools.partial(np.array([each.v_table(ym + 2) for each in links]).take, axis=1)
     slack = 1.0 + _BOUND_SLACK
 
     # 1. the cap M_max(x) of every x
@@ -237,20 +225,17 @@ def _search(links) -> tuple:
     t_bit = config.symbol_time / link.per_symbol
     tail_time = link.tail_bits * t_bit
     o = (link.overhead_ba64 + tail_time, link.overhead_full + tail_time)
-    if batch:
+    best = cap_thr.max(axis=1, keepdims=True)
+    if len(links) > 1:
         # the seed: the widest uniform kink of each y and block-ack regime
         wide = x_top > BA64_FRAMES
         wx = np.concatenate((np.minimum(x_top, BA64_FRAMES), x_top[wide]))
         wm = wx * np.concatenate((ys, ys[wide]))
         seed = link.goodput(wx, wm, v) / link.cycle_time(wx, wm)
-        best = np.maximum(cap_thr.max(axis=1), seed.max(axis=1))[:, None]
-        with np.errstate(over="ignore"):   # inf, as with a float best below
-            best_o, best_b = best[..., None] * o, best * t_bit
-        unreached = np.where(best > 0, np.nan, np.inf)[..., None]
-    else:
-        best = float(cap_thr.max())   # a product too large for a double is inf, without a numpy warning
-        best_o, best_b = (best * o[0], best * o[1]), best * t_bit
-        unreached = np.nan if best > 0 else np.inf
+        best = np.maximum(best, seed.max(axis=1, keepdims=True))
+    with np.errstate(over="ignore"):   # a product too large for a double is inf
+        best_o, best_b = best[..., None] * o, best * t_bit
+    unreached = np.where(best > 0, np.nan, np.inf)[..., None]
 
     # 2. per y (rows) and block-ack regime (columns), the x from the closed-form
     # lower end up to the widest uniform plan of y
@@ -258,11 +243,9 @@ def _search(links) -> tuple:
     # d = a*(1 + 2*_BOUND_SLACK) - best*b; where it is not positive no kink
     # reaches a positive best, while a zero best is reached by every kink
     d = (v(ys) * (link.payload_bits * (1.0 + 2 * _BOUND_SLACK)) - best_b * c)[..., None]
-    x_lo = best_o / np.where(d > 0, d, unreached)
-    if batch:
-        # the lowest lower end of any channel; fmin skips the NaN of a
-        # channel none of whose kinks reach its best
-        x_lo = np.fmin.reduce(x_lo, axis=0)
+    # the lowest lower end of any channel; fmin skips the NaN of a channel
+    # none of whose kinks reach its best
+    x_lo = np.fmin.reduce(best_o / np.where(d > 0, d, unreached), axis=0)
     lo = np.maximum((1, BA64_FRAMES + 1), np.fmin(x_lo, x_top + 1).astype(np.int64))
     counts = np.maximum(0, np.minimum((BA64_FRAMES, x_cap), x_top) - lo + 1)
     kx = _ranges(lo.ravel(), counts.ravel())
@@ -274,24 +257,22 @@ def _search(links) -> tuple:
     if round_symbols:
         # 3. a segment's bound is the better unrounded value of its two ends,
         # so a segment is searched only if one end reaches the best kink or
-        # cap value; segment (x, y) runs from M = x*y to the next kink or the cap
-        if batch:
-            reach = np.maximum(best, k_thr.max(axis=1, keepdims=True, initial=-np.inf))
-        else:
-            reach = k_thr.max(initial=best)
-        k_end = _any_channel(ku * slack >= reach)
+        # cap value for some channel; segment (x, y) runs from M = x*y to the
+        # next kink or the cap
+        reach = np.maximum(best, k_thr.max(axis=1, keepdims=True, initial=-np.inf))
+        k_end = (ku * slack >= reach).any(axis=0)
         key = kx * (ym + 1) + ky
         key = np.sort(np.concatenate((
-            key[k_end],                                                           # from a kink
-            key[k_end & (ky > 1)] - 1,                                            # to a kink
-            (xs * (ym + 1) + m_max // xs)[_any_channel(cap_u * slack >= reach)],  # to a cap
+            key[k_end],                                                            # from a kink
+            key[k_end & (ky > 1)] - 1,                                             # to a kink
+            (xs * (ym + 1) + m_max // xs)[(cap_u * slack >= reach).any(axis=0)],   # to a cap
         )))
         first = np.ones(key.size, dtype=bool)
         first[1:] = key[1:] != key[:-1]
         sx, y = np.divmod(key[first], ym + 1)
         lo = sx * y
         hi = np.minimum(lo + sx, m_max[sx - 1])
-        searched = (hi - lo > 1) & _any_channel(v(y + 1) > v(y))
+        searched = (hi - lo > 1) & (v(y + 1) > v(y)).any(axis=0)
         sx, lo, hi = sx[searched], lo[searched], hi[searched]
         # one candidate per symbol count s the segment spans: the last M that fits s
         s_lo = link.symbols(link.psdu_bits(sx, lo)).astype(np.int64)
@@ -309,18 +290,12 @@ def _search(links) -> tuple:
 
     xs_c, ms_c, thr = (np.concatenate(a, axis=-1) for a in (cand_x, cand_m, cand_thr))
     # per channel: the highest score, then the fewest MPDUs, then the fewest MSDUs
-    if batch:
-        top = thr == thr.max(axis=1, keepdims=True)
-        best_x = np.where(top, xs_c, x_cap).min(axis=1)
-        best_m = np.where(top & (xs_c == best_x[:, None]), ms_c, ms_c.max()).min(axis=1)
-        picks = zip(best_x.tolist(), best_m.tolist())
-    else:
-        top = thr == thr.max()
-        best_x = int(xs_c[top].min())
-        picks = ((best_x, int(ms_c[top & (xs_c == best_x)].min())),)
+    top = thr == thr.max(axis=1, keepdims=True)
+    best_x = np.where(top, xs_c, x_cap).min(axis=1)
+    best_m = np.where(top & (xs_c == best_x[:, None]), ms_c, ms_c.max()).min(axis=1)
     # each channel's plan is scored with its own link, as throughput_exact scores it
     results = []
-    for each, (x, m) in zip(links, picks):
+    for each, x, m in zip(links, best_x.tolist(), best_m.tolist()):
         plan = AggregationPlan(x, m // x, m % x)
         air = each.airtime(plan)
         good = each.goodput(x, m)

@@ -400,8 +400,10 @@ BATCH_BERS = st.lists(
     }),
 )
 def test_batch_equals_each_channel_alone(flavor, mcs, msdu_len, bers, round_symbols, overrides):
-    # every channel is scored over the union of all channels' candidates,
-    # with best seeded by the widest kinks: neither may change its result
+    # a batch of two or more channels scores every channel over the union of
+    # all channels' candidates, with best seeded by the widest kinks; a batch
+    # of one (optimize_exact) is neither widened nor seeded, so comparing the
+    # two checks that neither the union nor the seed changes a result
     config, overhead = resolve_config(flavor, overrides)
     scenarios = [Scenario(flavor, mcs % len(config.mcs_rates), ber, msdu_len) for ber in bers]
     try:
