@@ -31,8 +31,9 @@ reports, as the fastest of ``REPEATS`` runs unless said otherwise:
   does;
 - a SHA-256 digest of each output family (``_digests``);
 - outside the timed runs, the function calls ``cProfile`` records (``_calls``)
-  per cold ``optimize_exact`` over the default grid and over the
-  ``scenario-mix`` requests, and per default sweep (``_counts``): the same on
+  and the candidate plans scored (``_candidates``) per cold ``optimize_exact``
+  over the default grid and over the ``scenario-mix`` requests, per default
+  sweep and, for candidates, in the huge search (``_counts``): the same on
   every run, so they show a change in work too small for the timings.
 
 The report, JSON, gives each side's git SHA, whether its tracked files differ
@@ -154,6 +155,47 @@ def _calls(call, *args) -> int:
     return pstats.Stats(profile).total_calls
 
 
+def _candidates(call, *args) -> int:
+    """Candidate plans scored in one cold ``call(*args)`` (see ``_cold_reset``).
+
+    Every stage of the search scores its candidates through ``Link.goodput``;
+    each call with an array ``x`` adds its size, one per plan whatever the
+    number of channels, and a call for one plan (the kernel's) adds nothing.
+    A ``NoFeasiblePlanError`` ends the call as a return would.
+    """
+    import numpy as np
+
+    from aggthru import Link, NoFeasiblePlanError
+
+    goodput, scored = Link.goodput, 0
+
+    def counting(self, x, *args, **kwargs):
+        nonlocal scored
+        if isinstance(x, np.ndarray):
+            scored += x.size
+        return goodput(self, x, *args, **kwargs)
+
+    Link.goodput = counting
+    _cold_reset()
+    try:
+        call(*args)
+    except NoFeasiblePlanError:
+        pass
+    finally:
+        Link.goodput = goodput
+    return scored
+
+
+def _huge():
+    """``(scenario, config)`` of the huge search: a 1e5-us PPDU limit, a window of 1e6 frames."""
+    from dataclasses import replace
+
+    from aggthru import ProtocolFlavor, Scenario, default_config
+
+    config = replace(default_config(ProtocolFlavor.AX256), ppdu_time_limit=1e5, max_mpdus=10**6)
+    return Scenario(ProtocolFlavor.AX256, 11, 1e-6, 64), config
+
+
 def _grid():
     """``(flavor, size class, scenario, config)`` of every point of the default grid."""
     from aggthru import ProtocolFlavor, Scenario, default_config
@@ -230,11 +272,10 @@ def _kernel() -> dict:
 def _optimizer() -> dict:
     """Every ``optimize_exact.*``, ``sweep.*`` and ``huge_1e5.*`` entry of ``UNITS``."""
     import tracemalloc
-    from dataclasses import replace
 
     import numpy as np
 
-    from aggthru import NoFeasiblePlanError, ProtocolFlavor, Scenario, default_config, optimize_exact, params
+    from aggthru import NoFeasiblePlanError, optimize_exact, params
     from aggthru.report import SweepGrid, run_sweep
 
     def cold_ms(scenario, config, overhead=params.DEFAULT_OVERHEAD) -> float:
@@ -264,8 +305,7 @@ def _optimizer() -> dict:
     out["sweep.unrounded_s"] = _fastest(
         lambda: run_sweep(SweepGrid(), round_symbols=False), SWEEP_REPEATS, _cold_reset,
     )
-    huge = replace(default_config(ProtocolFlavor.AX256), ppdu_time_limit=1e5, max_mpdus=10**6)
-    scenario = Scenario(ProtocolFlavor.AX256, 11, 1e-6, 64)
+    scenario, huge = _huge()
     out["huge_1e5.s"] = _fastest(lambda: optimize_exact(scenario, huge), SWEEP_REPEATS, _cold_reset)
     _cold_reset()
     tracemalloc.start()
@@ -276,17 +316,25 @@ def _optimizer() -> dict:
 
 
 def _counts() -> dict:
-    """Function calls (``_calls``) per cold search of the grid and of ``scenario-mix``, and per sweep."""
+    """Function calls (``_calls``) and candidates scored (``_candidates``).
+
+    Each per cold search of the grid and of ``scenario-mix`` (the mean) and
+    per default sweep; the candidates also in the huge search.
+    """
     from aggthru import optimize_exact, params
     from aggthru.report import SweepGrid, run_sweep
 
-    grid = [_calls(optimize_exact, scenario, config, params.DEFAULT_OVERHEAD) for *_, scenario, config in _grid()]
-    mix = [_calls(optimize_exact, *search) for search in _scenario_mix()]
-    return {
-        "optimize_exact.grid.calls_per_search": statistics.fmean(grid),
-        "optimize_exact.scenario_mix.calls_per_search": statistics.fmean(mix),
-        "sweep.rounded.calls": _calls(run_sweep, SweepGrid()),
-    }
+    grid = [(scenario, config, params.DEFAULT_OVERHEAD) for *_, scenario, config in _grid()]
+    mix = list(_scenario_mix())
+    out = {}
+    for count, what in ((_calls, "calls"), (_candidates, "candidates")):
+        out[f"optimize_exact.grid.{what}_per_search"] = statistics.fmean(count(optimize_exact, *s) for s in grid)
+        out[f"optimize_exact.scenario_mix.{what}_per_search"] = statistics.fmean(
+            count(optimize_exact, *s) for s in mix
+        )
+        out[f"sweep.rounded.{what}"] = count(run_sweep, SweepGrid())
+    out["huge_1e5.candidates"] = _candidates(optimize_exact, *_huge())
+    return out
 
 
 def _cli_cold() -> dict:

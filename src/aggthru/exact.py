@@ -9,7 +9,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,8 +42,7 @@ class NoFeasiblePlanError(ValueError):
     """The scenario admits no transmission at all."""
 
 
-@dataclass(frozen=True, slots=True)
-class ThroughputResult:
+class ThroughputResult(NamedTuple):
     throughput: float              # Mbps
     plan: AggregationPlan
     airtime: AirtimeBreakdown
@@ -81,7 +80,7 @@ _BOUND_SLACK = 1e-9
 
 def _ranges(start, counts):
     """``start[i], start[i] + 1, ...`` (``counts[i]`` values) for every ``i``, concatenated."""
-    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - start, counts)
+    return np.arange(counts.sum()) - (counts.cumsum() - counts - start).repeat(counts)
 
 
 def optimize_exact(
@@ -144,10 +143,10 @@ def optimize_exact(
     The segments searched, the candidates that can reach the maximum and
     hence the tie-break are the same as when every kink is scored.
 
-    Every candidate is scored with ``Link.goodput / Link.cycle_time`` (or
-    ``Link.scores``, the same expressions), as ``throughput_exact`` scores a
-    plan, under the ``Link``'s ``y_cap`` and ``bit_cap``, the limits
-    ``is_feasible`` checks; the lowest ``(x, M)`` among the maxima wins.
+    Every candidate is scored with ``Link.scores``, whose value is the
+    expression ``throughput_exact`` takes from ``Link.airtime``, under the
+    ``Link``'s ``y_cap`` and ``bit_cap``, the limits ``is_feasible`` checks;
+    the lowest ``(x, M)`` among the maxima wins.
 
     ``optimize_exact_batch`` runs this search for one or more channels (BERs)
     of one geometry at once, and this function is its batch of one.  A
@@ -231,8 +230,7 @@ def optimize_exact_batch(
         wide = x_top > BA64_FRAMES
         wx = np.concatenate((np.minimum(x_top, BA64_FRAMES), x_top[wide]))
         wm = wx * np.concatenate((ys, ys[wide]))
-        seed = link.goodput(wx, wm, v) / link.cycle_time(wx, wm)
-        best = np.maximum(best, seed.max(axis=1, keepdims=True))
+        best = np.maximum(best, link.scores(wx, wm, v)[0].max(axis=1, keepdims=True))
     with np.errstate(over="ignore"):   # a product too large for a double is inf
         best_o, best_b = best[..., None] * o, best * t_bit
     unreached = np.where(best > 0, np.nan, np.inf)[..., None]
@@ -249,7 +247,7 @@ def optimize_exact_batch(
     lo = np.maximum((1, BA64_FRAMES + 1), np.fmin(x_lo, x_top + 1).astype(np.int64))
     counts = np.maximum(0, np.minimum((BA64_FRAMES, x_cap), x_top) - lo + 1)
     kx = _ranges(lo.ravel(), counts.ravel())
-    ky = np.repeat(ys, counts.sum(axis=1))
+    ky = ys.repeat(counts.sum(axis=1))
     km = kx * ky
     k_thr, ku = link.scores(kx, km, v)
     cand_x, cand_m, cand_thr = [xs, kx], [m_max, km], [cap_thr, k_thr]
@@ -262,11 +260,12 @@ def optimize_exact_batch(
         reach = np.maximum(best, k_thr.max(axis=1, keepdims=True, initial=-np.inf))
         k_end = (ku * slack >= reach).any(axis=0)
         key = kx * (ym + 1) + ky
-        key = np.sort(np.concatenate((
+        key = np.concatenate((
             key[k_end],                                                            # from a kink
             key[k_end & (ky > 1)] - 1,                                             # to a kink
             (xs * (ym + 1) + m_max // xs)[(cap_u * slack >= reach).any(axis=0)],   # to a cap
-        )))
+        ))
+        key.sort()
         first = np.ones(key.size, dtype=bool)
         first[1:] = key[1:] != key[:-1]
         sx, y = np.divmod(key[first], ym + 1)
@@ -277,16 +276,16 @@ def optimize_exact_batch(
         # one candidate per symbol count s the segment spans: the last M that fits s
         s_lo = link.symbols(link.psdu_bits(sx, lo)).astype(np.int64)
         counts = link.symbols(link.psdu_bits(sx, hi)).astype(np.int64) - s_lo
-        rx = np.repeat(sx, counts)
+        rx = sx.repeat(counts)
         s = _ranges(s_lo, counts)
         m = np.floor((s * link.per_symbol - link.tail_bits - c0 * rx) / step).astype(np.int64)
         # settle float error against the expression the score uses
         m += link.symbols(link.psdu_bits(rx, m + 1)) <= s
         m -= link.symbols(link.psdu_bits(rx, m)) > s
-        m = np.clip(m, np.repeat(lo, counts), np.repeat(hi, counts) - 1)
+        m = m.clip(lo.repeat(counts), hi.repeat(counts) - 1)
         cand_x.append(rx)
         cand_m.append(m)
-        cand_thr.append(link.goodput(rx, m, v) / link.cycle_time(rx, m))
+        cand_thr.append(link.scores(rx, m, v)[0])
 
     xs_c, ms_c, thr = (np.concatenate(a, axis=-1) for a in (cand_x, cand_m, cand_thr))
     # per channel: the highest score, then the fewest MPDUs, then the fewest MSDUs
@@ -328,7 +327,7 @@ def simulate_throughput(
     if cycles < 1:
         raise ValueError("cycles must be >= 1")
     link = Link.of(scenario, config, overhead)
-    cycle_time = link.cycle_time(plan.x, plan.total_msdus)
+    cycle_time = link.airtime(plan).cycle_time
     rng = np.random.default_rng(seed)
 
     delivered = np.zeros(cycles, dtype=np.int64)

@@ -13,6 +13,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,8 +80,7 @@ def y_max(msdu: MsduSlot, overhead: OverheadConfig, config: ProtocolConfig) -> i
     return budget // msdu.padded_len
 
 
-# The kernel builds a plan, an airtime and a result per call: slots make
-# these frozen values cheaper to construct.
+# Every kernel call takes a plan: slots make this frozen value cheaper to construct.
 @dataclass(frozen=True, slots=True)
 class AggregationPlan:
     """``x`` MPDUs; ``n_extra`` of them carry ``y_base + 1`` MSDUs, the rest ``y_base``.
@@ -116,8 +116,7 @@ class AggregationPlan:
         return tuple(groups)
 
 
-@dataclass(frozen=True, slots=True)
-class AirtimeBreakdown:
+class AirtimeBreakdown(NamedTuple):
     """On-air accounting for one transmission cycle."""
 
     psdu_bits: int     # sum of all MPDU sizes
@@ -153,11 +152,12 @@ class Link:
     Padded MSDUs are 4-byte aligned, so an MPDU of ``y`` MSDUs has
     ``C(y) = c0 + step*y`` bits and a balanced plan of ``x`` MPDUs and
     ``m`` MSDUs a PSDU of ``c0*x + step*m`` bits.  ``psdu_bits``,
-    ``cycle_time`` and ``goodput`` are the only copy of the cycle model
-    (``scores`` takes the cycle time in both symbol modes at once, for the
-    optimizer); they take ints or numpy arrays alike.  ``verdict`` and the
-    optimizer both check a plan against ``y_cap`` and ``bit_cap``, the
-    largest PSDU within the byte and time limits.
+    ``symbols``, ``overhead`` and ``goodput`` are the only copy of the cycle
+    model; they take ints or numpy arrays alike.  The cycle time is written
+    once per shape: ``airtime`` for one plan, ``scores`` for arrays of
+    candidates (both symbol modes at once, for the optimizer).  ``verdict``
+    and the optimizer both check a plan against ``y_cap`` and ``bit_cap``,
+    the largest PSDU within the byte and time limits.
     """
 
     config: ProtocolConfig
@@ -300,10 +300,6 @@ class Link:
             return np.where(x <= BA64_FRAMES, self.overhead_ba64, self.overhead_full)
         return self.overhead_ba64 if x <= BA64_FRAMES else self.overhead_full
 
-    def cycle_time(self, x, m):
-        """Cycle airtime of ``x`` MPDUs carrying ``m`` MSDUs [us]: overhead + data."""
-        return self.overhead(x) + self.symbols(self.psdu_bits(x, m)) * self.config.symbol_time
-
     def goodput(self, x, m, v=None):
         """Expected payload bits per cycle of ``x`` MPDUs carrying ``m`` MSDUs, balanced.
 
@@ -317,10 +313,12 @@ class Link:
         return self.payload_bits * (x * v(y))
 
     def scores(self, x, m, v):
-        """``goodput / cycle_time`` of ``x`` MPDUs carrying ``m`` MSDUs [Mbps], and its bound.
+        """Throughput of ``x`` MPDUs carrying ``m`` MSDUs [Mbps], and its bound.
 
-        The bound is the same ratio with unrounded symbols, which never
-        exceeds the rounded airtime; ``v`` as for ``goodput``.
+        The throughput is ``goodput`` over the cycle time, the same doubles
+        ``throughput_exact`` takes from ``airtime``.  The bound is the same
+        ratio with unrounded symbols, which never exceeds the rounded
+        airtime; ``v`` as for ``goodput``.
         """
         good = self.goodput(x, m, v)
         overhead = self.overhead(x)
@@ -336,7 +334,6 @@ class Link:
             bits = self.psdu_bits(plan.x, plan.total_msdus)
         symbols = self.symbols(bits)
         data_time = symbols * self.config.symbol_time
-        # positional, in field order: keywords would double the constructor's cost
         return AirtimeBreakdown(
             bits,
             symbols,

@@ -4,7 +4,7 @@ import subprocess
 from dataclasses import replace
 from pathlib import Path
 
-from aggthru import ProtocolFlavor, Scenario, default_config, optimize_exact
+from aggthru import AggregationPlan, ProtocolFlavor, Scenario, default_config, optimize_exact, throughput_exact
 from aggthru.params import DEFAULT_OVERHEAD
 
 _SPEC = importlib.util.spec_from_file_location("compare", Path(__file__).resolve().parent.parent / "scripts" / "compare.py")
@@ -53,3 +53,22 @@ def test_call_counts_are_the_same_on_every_run():
     first = counts()
     assert all(isinstance(n, int) and n > 0 for n in first)
     assert counts() == first
+
+
+def test_candidate_counts_are_the_same_on_every_run():
+    ax256 = default_config(ProtocolFlavor.AX256)
+    ac64 = default_config(ProtocolFlavor.AC64)
+    grid = [
+        (Scenario(ProtocolFlavor.AX256, 11, 1e-6, 64), ax256),
+        (Scenario(ProtocolFlavor.AX256, 3, 0.0, 1500), ax256),
+        (Scenario(ProtocolFlavor.AC64, 9, 1e-5, 512), ac64),
+    ]
+
+    def counts():
+        return [compare._candidates(optimize_exact, scenario, config) for scenario, config in grid]
+
+    first = counts()
+    assert all(isinstance(n, int) and n > 0 for n in first)
+    assert counts() == first
+    # the kernel scores one plan, not an array of candidates
+    assert compare._candidates(throughput_exact, AggregationPlan(4, 2), *grid[0]) == 0

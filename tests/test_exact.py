@@ -287,7 +287,7 @@ def test_optimizer_lifted_window_optima(ber, plan):
 
 
 def _exhaustive_scan(scenario, config, overhead, *, round_symbols):
-    """Best balanced plan over every (x, M), scored with ``Link.goodput / Link.cycle_time``.
+    """Best balanced plan over every (x, M), scored with ``Link.scores``.
 
     Every x up to the window and every M from x to x * y_cap whose PSDU fits
     ``bit_cap``, one numpy pass per x; ties break toward fewer MPDUs, then
@@ -301,7 +301,7 @@ def _exhaustive_scan(scenario, config, overhead, *, round_symbols):
         m = m[link.psdu_bits(x, m) <= link.bit_cap]
         if not m.size:
             break   # the budget only shrinks as x grows
-        thr = link.goodput(x, m, v) / link.cycle_time(x, m)
+        thr = link.scores(x, m, v)[0]
         i = int(thr.argmax())   # the first maximum: the fewest MSDUs
         if thr[i] > best[0]:
             best = (float(thr[i]), AggregationPlan(x, int(m[i]) // x, int(m[i]) % x))

@@ -268,9 +268,15 @@ def test_scores_are_goodput_over_cycle_time(flavor, mcs, ber, msdu_len, round_sy
     m = np.array([x * y + (y % x) for x, y in plans])
     v = link.v_table(int((m // x).max()) + 2).take
     value, bound = link.scores(x, m, v)
-    good = link.goodput(x, m, v)
-    assert value.tolist() == (good / link.cycle_time(x, m)).tolist()
-    assert bound.tolist() == (good / replace(link, round_symbols=False).cycle_time(x, m)).tolist()
+    # each plan's score is the scalar kernel's expression, in both symbol modes
+    unrounded = replace(link, round_symbols=False)
+    for i, (xi, mi) in enumerate(zip(x.tolist(), m.tolist())):
+        if mi < 1:
+            continue
+        plan = AggregationPlan(xi, mi // xi, mi % xi)
+        good = link.goodput(xi, mi)
+        assert value[i] == good / link.airtime(plan).cycle_time
+        assert bound[i] == good / unrounded.airtime(plan).cycle_time
     assert (bound >= value).all()
 
 
