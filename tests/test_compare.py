@@ -12,6 +12,17 @@ compare = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(compare)
 
 
+AX256 = default_config(ProtocolFlavor.AX256)
+AC64 = default_config(ProtocolFlavor.AC64)
+# a small grid of searches; the last one has no feasible plan
+GRID = [
+    (Scenario(ProtocolFlavor.AX256, 11, 1e-6, 64), AX256),
+    (Scenario(ProtocolFlavor.AX256, 3, 0.0, 1500), AX256),
+    (Scenario(ProtocolFlavor.AC64, 9, 1e-5, 512), AC64),
+    (Scenario(ProtocolFlavor.AC64, 0, 0.0, 64), replace(AC64, ppdu_time_limit=50.0)),
+]
+
+
 def _git(repo, *args):
     subprocess.run(
         ["git", "-C", str(repo), "-c", "user.name=test", "-c", "user.email=test@example.com",
@@ -38,17 +49,8 @@ def test_dirty_is_none_outside_a_git_checkout(tmp_path):
 
 
 def test_call_counts_are_the_same_on_every_run():
-    ax256 = default_config(ProtocolFlavor.AX256)
-    ac64 = default_config(ProtocolFlavor.AC64)
-    grid = [
-        (Scenario(ProtocolFlavor.AX256, 11, 1e-6, 64), ax256),
-        (Scenario(ProtocolFlavor.AX256, 3, 0.0, 1500), ax256),
-        (Scenario(ProtocolFlavor.AC64, 9, 1e-5, 512), ac64),
-        (Scenario(ProtocolFlavor.AC64, 0, 0.0, 64), replace(ac64, ppdu_time_limit=50.0)),   # no plan fits
-    ]
-
     def counts():
-        return [compare._calls(optimize_exact, scenario, config, DEFAULT_OVERHEAD) for scenario, config in grid]
+        return [compare._calls(optimize_exact, scenario, config, DEFAULT_OVERHEAD) for scenario, config in GRID]
 
     first = counts()
     assert all(isinstance(n, int) and n > 0 for n in first)
@@ -56,19 +58,12 @@ def test_call_counts_are_the_same_on_every_run():
 
 
 def test_candidate_counts_are_the_same_on_every_run():
-    ax256 = default_config(ProtocolFlavor.AX256)
-    ac64 = default_config(ProtocolFlavor.AC64)
-    grid = [
-        (Scenario(ProtocolFlavor.AX256, 11, 1e-6, 64), ax256),
-        (Scenario(ProtocolFlavor.AX256, 3, 0.0, 1500), ax256),
-        (Scenario(ProtocolFlavor.AC64, 9, 1e-5, 512), ac64),
-    ]
-
     def counts():
-        return [compare._candidates(optimize_exact, scenario, config) for scenario, config in grid]
+        return [compare._candidates(optimize_exact, scenario, config) for scenario, config in GRID]
 
     first = counts()
-    assert all(isinstance(n, int) and n > 0 for n in first)
+    assert all(isinstance(n, int) and n > 0 for n in first[:-1])
+    assert first[-1] == 0   # no plan fits, so nothing is scored
     assert counts() == first
     # the kernel scores one plan, not an array of candidates
-    assert compare._candidates(throughput_exact, AggregationPlan(4, 2), *grid[0]) == 0
+    assert compare._candidates(throughput_exact, AggregationPlan(4, 2), *GRID[0]) == 0
