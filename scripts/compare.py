@@ -169,11 +169,11 @@ def _candidates(call, *args) -> int:
 
     goodput, scored = Link.goodput, 0
 
-    def counting(self, x, *args, **kwargs):
+    def counting(self, x, *rest, **keywords):
         nonlocal scored
         if isinstance(x, np.ndarray):
             scored += x.size
-        return goodput(self, x, *args, **kwargs)
+        return goodput(self, x, *rest, **keywords)
 
     Link.goodput = counting
     _cold_reset()
@@ -318,8 +318,8 @@ def _optimizer() -> dict:
 def _counts() -> dict:
     """Function calls (``_calls``) and candidates scored (``_candidates``).
 
-    Each per cold search of the grid and of ``scenario-mix`` (the mean) and
-    per default sweep; the candidates also in the huge search.
+    The mean per cold search of the grid and of ``scenario-mix`` and the total
+    per default sweep; the candidates also of the huge search.
     """
     from aggthru import optimize_exact, params
     from aggthru.report import SweepGrid, run_sweep
