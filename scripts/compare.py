@@ -33,8 +33,10 @@ reports, as the fastest of ``REPEATS`` runs unless said otherwise:
 - outside the timed runs, the function calls ``cProfile`` records (``_calls``)
   and the candidate plans scored (``_candidates``) per cold ``optimize_exact``
   over the default grid and over the ``scenario-mix`` requests, per default
-  sweep and, for candidates, in the huge search (``_counts``): the same on
-  every run, so they show a change in work too small for the timings.
+  sweep and, for candidates, in the huge search, and the calls of one warm
+  ``throughput_exact`` of each ``KERNEL`` plan (``_kernel_calls``), all in
+  ``_counts``: the same on every run, so they show a change in work too small
+  for the timings.
 
 The report, JSON, gives each side's git SHA, whether its tracked files differ
 from that commit (``dirty``), its digests and counts, and the median and
@@ -158,32 +160,49 @@ def _calls(call, *args) -> int:
 def _candidates(call, *args) -> int:
     """Candidate plans scored in one cold ``call(*args)`` (see ``_cold_reset``).
 
-    Every stage of the search scores its candidates through ``Link.goodput``;
-    each call with an array ``x`` adds its size, one per plan whatever the
-    number of channels, and a call for one plan (the kernel's) adds nothing.
-    A ``NoFeasiblePlanError`` ends the call as a return would.
+    Every stage of the search scores its candidates through ``Link.scores``;
+    each call adds the number of plans its ``x`` and ``m`` broadcast to, one
+    per plan whatever the number of channels.  The kernel scores one plan
+    without ``Link.scores`` and adds nothing.  A ``NoFeasiblePlanError`` ends
+    the call as a return would.
     """
     import numpy as np
 
     from aggthru import Link, NoFeasiblePlanError
 
-    goodput, scored = Link.goodput, 0
+    scores, scored = Link.scores, 0
 
-    def counting(self, x, *rest, **keywords):
+    def counting(self, x, m, *rest, **keywords):
         nonlocal scored
-        if isinstance(x, np.ndarray):
-            scored += x.size
-        return goodput(self, x, *rest, **keywords)
+        scored += np.broadcast(x, m).size
+        return scores(self, x, m, *rest, **keywords)
 
-    Link.goodput = counting
+    Link.scores = counting
     _cold_reset()
     try:
         call(*args)
     except NoFeasiblePlanError:
         pass
     finally:
-        Link.goodput = goodput
+        Link.scores = scores
     return scored
+
+
+def _kernel_calls() -> dict:
+    """Function calls ``cProfile`` records in one warm ``throughput_exact`` of each ``KERNEL`` plan.
+
+    The feasible and the infeasible statement of ``KERNEL`` each run once
+    first, to fill the memo of ``Link.of`` as in the timed loops.
+    """
+    namespace = _kernel_namespace()
+    out = {}
+    for name in ("throughput_exact.feasible_us", "throughput_exact.infeasible_us"):
+        stmt = KERNEL[name][0]
+        exec(stmt, namespace)
+        profile = cProfile.Profile()
+        profile.runctx(stmt, namespace, {})
+        out[name.removesuffix("_us") + ".calls"] = pstats.Stats(profile).total_calls
+    return out
 
 
 def _huge():
@@ -227,10 +246,8 @@ def _scenario_mix():
         yield Scenario(request.flavor, request.mcs, request.ber, request.msdu_len), config, overhead
 
 
-def _kernel() -> dict:
-    """Per call of every entry of ``KERNEL``; the fastest repeat of an autoranged loop."""
-    import timeit
-
+def _kernel_namespace() -> dict:
+    """The names the statements of ``KERNEL`` run with."""
     from aggthru import (
         AggregationPlan,
         InfeasiblePlanError,
@@ -259,7 +276,14 @@ def _kernel() -> dict:
 
     if is_feasible(too_long, scenario, config).ok:
         raise RuntimeError("the infeasible timing's plan is feasible")
-    namespace = dict(locals(), MC_CYCLES=MC_CYCLES)
+    return dict(locals(), MC_CYCLES=MC_CYCLES)
+
+
+def _kernel() -> dict:
+    """Per call of every entry of ``KERNEL``; the fastest repeat of an autoranged loop."""
+    import timeit
+
+    namespace = _kernel_namespace()
     out = {}
     for name, (stmt, unit) in KERNEL.items():
         timer = timeit.Timer(stmt, globals=namespace)
@@ -319,7 +343,8 @@ def _counts() -> dict:
     """Function calls (``_calls``) and candidates scored (``_candidates``).
 
     The mean per cold search of the grid and of ``scenario-mix`` and the total
-    per default sweep; the candidates also of the huge search.
+    per default sweep; the candidates also of the huge search, and the calls
+    of the kernel (``_kernel_calls``).
     """
     from aggthru import optimize_exact, params
     from aggthru.report import SweepGrid, run_sweep
@@ -334,6 +359,7 @@ def _counts() -> dict:
         )
         out[f"sweep.rounded.{what}"] = count(run_sweep, SweepGrid())
     out["huge_1e5.candidates"] = _candidates(optimize_exact, *_huge())
+    out.update(_kernel_calls())
     return out
 
 

@@ -239,6 +239,8 @@ def _check_args(args) -> None:
             raise ValueError("--msdu-len applies only to --reliable; the --ber analysis does not depend on it")
     elif args.command == "xopt" and not 0.0 < args.rate < math.inf:
         raise ValueError(f"--rate must be finite and > 0 [Mbps], got {args.rate}")
+    elif args.command == "validate" and (args.seed < 0 or args.cycles < 1):
+        raise ValueError("--seed must be >= 0" if args.seed < 0 else "--cycles must be >= 1")
 
 
 def main(argv=None) -> int:

@@ -76,6 +76,8 @@ def throughput_exact(
 # arithmetic but evaluated in floats, so a kink or segment is dropped only
 # when its bound, widened by this factor, still falls below the best value found.
 _BOUND_SLACK = 1e-9
+# A best value below this prunes nothing: near the subnormals one ulp exceeds the slack.
+_PRUNE_FLOOR = np.finfo(float).tiny / _BOUND_SLACK
 
 
 def _ranges(start, counts):
@@ -141,7 +143,9 @@ def optimize_exact(
     scores strictly below ``best``.  It can neither win nor tie, the best
     kink or cap value is unchanged, and it never makes a segment searched.
     The segments searched, the candidates that can reach the maximum and
-    hence the tie-break are the same as when every kink is scored.
+    hence the tie-break are the same as when every kink is scored.  This
+    needs ``best`` at or above ``_PRUNE_FLOOR``, where the slack covers float
+    error: below it nothing is pruned, every kink or segment is scored.
 
     Every candidate is scored with ``Link.scores``, whose value is the
     expression ``throughput_exact`` takes from ``Link.airtime``, under the
@@ -231,6 +235,7 @@ def optimize_exact_batch(
         wx = np.concatenate((np.minimum(x_top, BA64_FRAMES), x_top[wide]))
         wm = wx * np.concatenate((ys, ys[wide]))
         best = np.maximum(best, link.scores(wx, wm, v)[0].max(axis=1, keepdims=True))
+    best[best < _PRUNE_FLOOR] = 0.0   # every kink reaches a zero best
     with np.errstate(over="ignore"):   # a product too large for a double is inf
         best_o, best_b = best[..., None] * o, best * t_bit
     unreached = np.where(best > 0, np.nan, np.inf)[..., None]
@@ -258,6 +263,7 @@ def optimize_exact_batch(
         # cap value for some channel; segment (x, y) runs from M = x*y to the
         # next kink or the cap
         reach = np.maximum(best, k_thr.max(axis=1, keepdims=True, initial=-np.inf))
+        reach[reach < _PRUNE_FLOOR] = -np.inf   # every segment reaches it
         k_end = (ku * slack >= reach).any(axis=0)
         key = kx * (ym + 1) + ky
         key = np.concatenate((
@@ -291,7 +297,7 @@ def optimize_exact_batch(
     # per channel: the highest score, then the fewest MPDUs, then the fewest MSDUs
     top = thr == thr.max(axis=1, keepdims=True)
     best_x = np.where(top, xs_c, x_cap).min(axis=1)
-    best_m = np.where(top & (xs_c == best_x[:, None]), ms_c, ms_c.max()).min(axis=1)
+    best_m = np.where(top & (xs_c == best_x[:, None]), ms_c, bit_cap).min(axis=1)
     # each channel's plan is scored with its own link, as throughput_exact scores it
     results = []
     for each, x, m in zip(links, best_x.tolist(), best_m.tolist()):

@@ -151,13 +151,12 @@ class Link:
 
     Padded MSDUs are 4-byte aligned, so an MPDU of ``y`` MSDUs has
     ``C(y) = c0 + step*y`` bits and a balanced plan of ``x`` MPDUs and
-    ``m`` MSDUs a PSDU of ``c0*x + step*m`` bits.  ``psdu_bits``,
-    ``symbols``, ``overhead`` and ``goodput`` are the only copy of the cycle
-    model; they take ints or numpy arrays alike.  The cycle time is written
-    once per shape: ``airtime`` for one plan, ``scores`` for arrays of
-    candidates (both symbol modes at once, for the optimizer).  ``verdict``
-    and the optimizer both check a plan against ``y_cap`` and ``bit_cap``,
-    the largest PSDU within the byte and time limits.
+    ``m`` MSDUs a PSDU of ``c0*x + step*m`` bits.  The cycle model is
+    written once per shape: ``goodput``, ``overhead`` and ``airtime`` for one
+    plan, ``scores`` for arrays of candidates (both symbol modes at once, for
+    the optimizer); ``psdu_bits`` and ``symbols`` take ints or numpy arrays
+    alike.  ``verdict`` and the optimizer both check a plan against ``y_cap``
+    and ``bit_cap``, the largest PSDU within the byte and time limits.
     """
 
     config: ProtocolConfig
@@ -186,9 +185,9 @@ class Link:
 
         ``round_symbols=False`` replaces the ceiling to whole OFDM symbols by
         exact division, the continuous approximation that bounds the rounding
-        error; this is the one place the symbol mode is chosen.  A caller
-        that repeats its last arguments, the same objects (``is``), gets the
-        last link back; any other call builds a new one.
+        error; this is the one place the symbol mode is chosen: no method takes
+        a mode of its own.  A caller that repeats its last arguments, the same
+        objects (``is``), gets the last link back; any other call builds a new one.
         """
         global _last_link
         last_scenario, last_config, last_overhead, last_round, link = _last_link
@@ -286,43 +285,39 @@ class Link:
         """PSDU size of ``x`` MPDUs carrying ``m`` MSDUs [bits]."""
         return self.c0 * x + self.step * m
 
-    def symbols(self, bits, rounded=None):
-        """OFDM symbols of a ``bits``-bit PSDU; whole ones if ``rounded`` (default: the link's mode)."""
+    def symbols(self, bits):
+        """OFDM symbols of a ``bits``-bit PSDU, whole ones if the link rounds."""
         raw = (bits + self.tail_bits) / self.per_symbol
-        if not (self.round_symbols if rounded is None else rounded):
+        if not self.round_symbols:
             return raw
         # ceil(raw) as a float; nan, which no limit admits, where raw is inf
         return np.ceil(raw) if isinstance(raw, np.ndarray) else -(-raw // 1.0)
 
-    def overhead(self, x):
+    def overhead(self, x: int) -> float:
         """Per-cycle overhead of ``x`` MPDUs [us], with their block ack."""
-        if isinstance(x, np.ndarray):
-            return np.where(x <= BA64_FRAMES, self.overhead_ba64, self.overhead_full)
         return self.overhead_ba64 if x <= BA64_FRAMES else self.overhead_full
 
-    def goodput(self, x, m, v=None):
-        """Expected payload bits per cycle of ``x`` MPDUs carrying ``m`` MSDUs, balanced.
-
-        ``v(y)`` is ``Link.v``; array callers pass a lookup into a table of it.
-        """
-        v = v or self.v
-        y = m // x
-        n = m - y * x
-        if isinstance(n, np.ndarray) or n:
-            return self.payload_bits * (n * v(y + 1) + (x - n) * v(y))
-        return self.payload_bits * (x * v(y))
+    def goodput(self, x: int, m: int) -> float:
+        """Expected payload bits per cycle of ``x`` MPDUs carrying ``m`` MSDUs, balanced."""
+        y, n = m // x, m % x
+        if n:
+            return self.payload_bits * (n * self.v(y + 1) + (x - n) * self.v(y))
+        return self.payload_bits * (x * self.v(y))
 
     def scores(self, x, m, v):
-        """Throughput of ``x`` MPDUs carrying ``m`` MSDUs [Mbps], and its bound.
+        """Throughput of arrays of plans, ``x`` MPDUs carrying ``m`` MSDUs [Mbps], and its bound.
 
-        The throughput is ``goodput`` over the cycle time, the same doubles
-        ``throughput_exact`` takes from ``airtime``.  The bound is the same
-        ratio with unrounded symbols, which never exceeds the rounded
-        airtime; ``v`` as for ``goodput``.
+        ``v`` is a lookup into a table of ``Link.v`` (``v_table``), or into
+        one row of it per channel.  The throughput is ``goodput`` over the
+        ``airtime`` cycle time, the same doubles ``throughput_exact`` takes for
+        each plan.  The bound is the same ratio with unrounded symbols, which
+        never exceeds the rounded airtime.
         """
-        good = self.goodput(x, m, v)
-        overhead = self.overhead(x)
-        raw = self.symbols(self.psdu_bits(x, m), rounded=False)
+        y, n = np.divmod(m, x)
+        good = self.payload_bits * (n * v(y + 1) + (x - n) * v(y))
+        del y, n   # freed before the airtime arrays are built, to keep the search's peak memory down
+        overhead = np.where(x <= BA64_FRAMES, self.overhead_ba64, self.overhead_full)
+        raw = (self.psdu_bits(x, m) + self.tail_bits) / self.per_symbol
         bound = good / (overhead + raw * self.config.symbol_time)
         if not self.round_symbols:
             return bound, bound

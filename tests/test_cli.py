@@ -485,6 +485,25 @@ def test_closed_stdout_is_not_an_error(argv):
     assert (proc.wait(timeout=60), err) == (1, b"")
 
 
+def test_two_ber_sweep_equals_optimize_on_subnormal_throughputs(capsys, tmp_path):
+    # at BER 0.1 every 827-byte MSDU arrives with a subnormal probability: the
+    # sweep searches both BERs at once and must still find each optimum
+    grid = tmp_path / "grid.cfg"
+    grid.write_text("flavors = ac64\nbers = 0, 0.1\nmsdu_lens = 827\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "sweep", "--grid-file", str(grid), "--format", "json")
+    assert code == 0
+    lossy = [row for row in json.loads(out) if row["ber"] == 0.1]
+    assert len(lossy) == 10
+    for row in lossy:
+        code, out, _ = run_cli(
+            capsys, "optimize", "--flavor", "ac64", "--mcs", str(row["mcs"]), "--ber", "0.1", "--msdu-len", "827"
+        )
+        alone = json.loads(out)
+        assert code == 0
+        assert {key: row[key] for key in alone["plan"]} == alone["plan"]
+        assert row["throughput_mbps"] == alone["throughput_mbps"]
+
+
 def test_sweep_infeasible_only_exits_two(capsys, tmp_path):
     grid = tmp_path / "grid.cfg"
     grid.write_text("bers = 0\nmsdu_lens = 1500\nflavors = ac64\n", encoding="utf-8")
@@ -530,3 +549,18 @@ def test_validate_takes_plans_that_lose_every_mpdu(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["points"] == sum(row.feasible for row in rows)
     assert all(math.isfinite(payload[key]) for key in ("max_relative_deviation", "max_z_score"))
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [(("--seed", "-1"), "--seed"), (("--cycles", "0"), "--cycles"), (("--cycles", "-5"), "--cycles")],
+)
+def test_validate_refuses_a_negative_seed_or_no_cycles_before_the_sweep(capsys, monkeypatch, argv, flag):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(aggthru.cli, "run_sweep", no_sweep)
+    code, out, err = run_cli(capsys, "validate", *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"aggthru: error: {flag}")
+    assert err.count("\n") == 1

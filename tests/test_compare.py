@@ -67,3 +67,10 @@ def test_candidate_counts_are_the_same_on_every_run():
     assert counts() == first
     # the kernel scores one plan, not an array of candidates
     assert compare._candidates(throughput_exact, AggregationPlan(4, 2), *GRID[0]) == 0
+
+
+def test_kernel_call_counts_are_the_same_on_every_run():
+    first = compare._kernel_calls()
+    assert set(first) == {"throughput_exact.feasible.calls", "throughput_exact.infeasible.calls"}
+    assert all(isinstance(n, int) and n > 0 for n in first.values())
+    assert compare._kernel_calls() == first
