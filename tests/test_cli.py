@@ -486,8 +486,9 @@ def test_closed_stdout_is_not_an_error(argv):
 
 
 def test_two_ber_sweep_equals_optimize_on_subnormal_throughputs(capsys, tmp_path):
-    # at BER 0.1 every 827-byte MSDU arrives with a subnormal probability: the
-    # sweep searches both BERs at once and must still find each optimum
+    # at BER 0.1 an MPDU of one 827-byte MSDU arrives with a subnormal
+    # probability: the sweep searches both BERs at once and must still find
+    # each optimum
     grid = tmp_path / "grid.cfg"
     grid.write_text("flavors = ac64\nbers = 0, 0.1\nmsdu_lens = 827\n", encoding="utf-8")
     code, out, _ = run_cli(capsys, "sweep", "--grid-file", str(grid), "--format", "json")
