@@ -31,15 +31,17 @@ reports, as the fastest of ``REPEATS`` runs unless said otherwise:
   does;
 - a SHA-256 digest of each output family (``_digests``);
 - outside the timed runs, the function calls ``cProfile`` records (``_calls``)
-  and the candidate plans scored (``_candidates``) per cold ``optimize_exact``
-  over the default grid and over the ``scenario-mix`` requests, per default
-  sweep and, for candidates, in the huge search, and the calls of one warm
+  and the candidate plans scored, in total and per search stage
+  (``_stage_candidates``), per cold ``optimize_exact`` over the default grid
+  and over the ``scenario-mix`` requests, per default sweep and, for
+  candidates, in the huge search, and the calls of one warm
   ``throughput_exact`` of each ``KERNEL`` plan (``_kernel_calls``), all in
   ``_counts``: the same on every run, so they show a change in work too small
   for the timings.
 
 The report, JSON, gives each side's git SHA, whether its tracked files differ
-from that commit (``dirty``), its digests and counts, and the median and
+from that commit (``dirty``), the lines of its ``src/aggthru/*.py``
+(``src_lines``), its digests and counts, and the median and
 quartiles of each timing over its children; with two checkouts also the
 AFTER/BEFORE ratio of the medians.  The exit status is 1 if any digest
 differs, between the sides or between the children of one side.
@@ -63,6 +65,7 @@ REPEATS = 5
 SWEEP_REPEATS = 3
 MC_CYCLES = 20_000
 FLAVORS = ("ac64", "ax64", "ax256")
+STAGES = ("caps", "seed", "kinks", "symbols")   # of one search, in the order it scores them
 SIZE_CLASSES = ("small", "medium", "large")
 
 # name -> (statement, unit); the statement runs in the namespace of _kernel
@@ -158,24 +161,35 @@ def _calls(call, *args) -> int:
 
 
 def _candidates(call, *args) -> int:
-    """Candidate plans scored in one cold ``call(*args)`` (see ``_cold_reset``).
+    """Candidate plans scored in one cold ``call(*args)``: the sum of its ``_stage_candidates``."""
+    return sum(_stage_candidates(call, *args).values())
 
-    Every stage of the search scores its candidates through ``Link.scores``;
-    each call adds the number of plans its ``x`` and ``m`` broadcast to, one
-    per plan whatever the number of channels.  The kernel scores one plan
-    without ``Link.scores`` and adds nothing.  A ``NoFeasiblePlanError`` ends
-    the call as a return would.
+
+def _stage_candidates(call, *args) -> dict:
+    """Candidate plans scored in one cold ``call(*args)`` (see ``_cold_reset``), per search stage.
+
+    Every stage of a search scores its candidates in one ``Link.scores``
+    call, in the order of ``STAGES``: the caps, the seed (only in a batch of
+    two or more channels), the kinks and the last ``M`` of each symbol count
+    (only when rounding).  Each call adds the number of plans its ``x`` and
+    ``m`` broadcast to, one per plan whatever the number of channels.  The
+    kernel scores one plan without ``Link.scores`` and adds nothing.  A
+    ``NoFeasiblePlanError`` ends the call as a return would.
     """
     import numpy as np
 
     from aggthru import Link, NoFeasiblePlanError
 
-    scores, scored = Link.scores, 0
+    scores, scored = Link.scores, dict.fromkeys(STAGES, 0)
+    stages = []   # the stages left in the current search
 
     def counting(self, x, m, *rest, **keywords):
-        nonlocal scored
-        scored += np.broadcast(x, m).size
-        return scores(self, x, m, *rest, **keywords)
+        result = scores(self, x, m, *rest, **keywords)
+        if not stages:   # the caps of a new search; its scores have one row per channel
+            seed, symbols = ["seed"] * (len(result[0]) > 1), ["symbols"] * self.round_symbols
+            stages.extend(["caps", *seed, "kinks", *symbols])
+        scored[stages.pop(0)] += np.broadcast(x, m).size
+        return result
 
     Link.scores = counting
     _cold_reset()
@@ -340,25 +354,36 @@ def _optimizer() -> dict:
 
 
 def _counts() -> dict:
-    """Function calls (``_calls``) and candidates scored (``_candidates``).
+    """Function calls (``_calls``) and candidates scored (``_stage_candidates``).
 
     The mean per cold search of the grid and of ``scenario-mix`` and the total
-    per default sweep; the candidates also of the huge search, and the calls
-    of the kernel (``_kernel_calls``).
+    per default sweep; the candidates also of the huge search, each in total
+    and per stage (``<name>.<stage>``), and the calls of the kernel
+    (``_kernel_calls``).
     """
     from aggthru import optimize_exact, params
     from aggthru.report import SweepGrid, run_sweep
 
     grid = [(scenario, config, params.DEFAULT_OVERHEAD) for *_, scenario, config in _grid()]
     mix = list(_scenario_mix())
-    out = {}
-    for count, what in ((_calls, "calls"), (_candidates, "candidates")):
-        out[f"optimize_exact.grid.{what}_per_search"] = statistics.fmean(count(optimize_exact, *s) for s in grid)
-        out[f"optimize_exact.scenario_mix.{what}_per_search"] = statistics.fmean(
-            count(optimize_exact, *s) for s in mix
-        )
-        out[f"sweep.rounded.{what}"] = count(run_sweep, SweepGrid())
-    out["huge_1e5.candidates"] = _candidates(optimize_exact, *_huge())
+    out = {
+        "optimize_exact.grid.calls_per_search": statistics.fmean(_calls(optimize_exact, *s) for s in grid),
+        "optimize_exact.scenario_mix.calls_per_search": statistics.fmean(
+            _calls(optimize_exact, *s) for s in mix
+        ),
+        "sweep.rounded.calls": _calls(run_sweep, SweepGrid()),
+    }
+
+    def candidates(name, searches, reduce):
+        out[name] = reduce([sum(search.values()) for search in searches])
+        out.update({f"{name}.{stage}": reduce([search[stage] for search in searches]) for stage in STAGES})
+
+    candidates("optimize_exact.grid.candidates_per_search",
+               [_stage_candidates(optimize_exact, *s) for s in grid], statistics.fmean)
+    candidates("optimize_exact.scenario_mix.candidates_per_search",
+               [_stage_candidates(optimize_exact, *s) for s in mix], statistics.fmean)
+    candidates("sweep.rounded.candidates", [_stage_candidates(run_sweep, SweepGrid())], sum)
+    candidates("huge_1e5.candidates", [_stage_candidates(optimize_exact, *_huge())], sum)
     out.update(_kernel_calls())
     return out
 
@@ -488,6 +513,11 @@ def _git_sha(checkout: Path):
     return proc.stdout.strip() or None
 
 
+def _src_lines(checkout: Path) -> int:
+    """Lines of the checkout's ``src/aggthru/*.py``, as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src" / "aggthru").glob("*.py"))
+
+
 def _git_dirty(checkout: Path):
     """Whether tracked files of ``checkout`` differ from its HEAD; None outside a git checkout."""
     proc = subprocess.run(
@@ -526,6 +556,7 @@ def main(argv=None) -> int:
             "side": ("before", "after")[side] if len(checkouts) == 2 else "this",
             "git_sha": _git_sha(checkout),
             "dirty": _git_dirty(checkout),
+            "src_lines": _src_lines(checkout),
             "numpy": runs[side][0]["numpy"],
             "digests": runs[side][0]["digests"],
             "counts": runs[side][0]["counts"],   # the same on every child

@@ -169,7 +169,6 @@ class Link:
     overhead_ba64: float   # per-cycle overhead [us] for x <= BA64_FRAMES
     overhead_full: float   # per-cycle overhead [us] for x > BA64_FRAMES
     payload_bits: float    # MSDU payload [bits]
-    ber: float
     log_q: float           # log(1 - ber): an intact C-bit MPDU has probability exp(C * log_q)
 
     @classmethod
@@ -222,7 +221,6 @@ class Link:
             overhead_ba64=cycle_overhead(config, overhead, BA64_FRAMES),
             overhead_full=cycle_overhead(config, overhead),
             payload_bits=8.0 * scenario.msdu_len,
-            ber=scenario.ber,
             log_q=math.log1p(-scenario.ber),
         )
         _last_link = (scenario, config, overhead, round_symbols, link)

@@ -39,6 +39,12 @@ def test_from_config_fields():
     assert cs.cycle_overhead == pytest.approx(221.3, abs=1e-12)
 
 
+@pytest.mark.parametrize("kwargs,message", [({"ber": 1.0}, "bit error rate"), ({"rate": 0.0}, "rate must be positive")])
+def test_from_config_rejects_bad_inputs(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        _scenario(**kwargs)
+
+
 def test_throughput_approx_reliable_simplification():
     cs = _scenario(ber=0.0)
     x, y = 40.0, 3.0

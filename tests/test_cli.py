@@ -124,6 +124,20 @@ def test_out_of_range_count_is_a_one_line_error(capsys, argv, message):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ("optimize", "--flavor", "ax256", "--mcs", "1", "--ber", "0", "--msdu-len", "64", "--config", "missing.cfg"),
+        ("sweep", "--out", "missing/rows.csv"),
+    ],
+)
+def test_missing_path_is_a_one_line_error(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"aggthru: error: [Errno 2] No such file or directory: '{argv[-1]}'\n"
+
+
+@pytest.mark.parametrize(
     "target,argv",
     [
         ("optimize_exact", ("optimize", "--flavor", "ax256", "--mcs", "11", "--ber", "1e-6", "--msdu-len", "64")),
@@ -185,6 +199,7 @@ def test_crossover_takes_msdu_len_only_with_reliable(capsys):
         ("max_mpdus = 64\nmax_mpdus = 8", "line 2: duplicate key max_mpdus"),
         ("max_psdu_bytes = -5", "max_psdu_bytes must be finite and >= 1"),
         ("max_psdu_bytes = 0", "max_psdu_bytes must be finite and >= 1"),
+        ("mcs_rates = ,", "mcs_rates must not be empty"),
     ],
 )
 def test_bad_override_is_a_one_line_error(capsys, tmp_path, override, field):
@@ -460,6 +475,7 @@ def test_sweep_grid_file_and_json(capsys, tmp_path):
         ("bers = 0, 1e-5, 0.0", "bers must not repeat a value"),
         ("flavors = ac64, AC64", "flavors must not repeat a value"),
         ("msdu_lens = 1500, 64, 1500.0", "msdu_lens must not repeat a value"),
+        ("foo = 1", "unknown grid key: foo"),
     ],
 )
 def test_bad_grid_file_is_a_one_line_error(capsys, tmp_path, text, message):

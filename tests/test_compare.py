@@ -2,9 +2,18 @@
 import importlib.util
 import subprocess
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
-from aggthru import AggregationPlan, ProtocolFlavor, Scenario, default_config, optimize_exact, throughput_exact
+from aggthru import (
+    AggregationPlan,
+    ProtocolFlavor,
+    Scenario,
+    default_config,
+    optimize_exact,
+    optimize_exact_batch,
+    throughput_exact,
+)
 from aggthru.params import DEFAULT_OVERHEAD
 
 _SPEC = importlib.util.spec_from_file_location("compare", Path(__file__).resolve().parent.parent / "scripts" / "compare.py")
@@ -67,6 +76,34 @@ def test_candidate_counts_are_the_same_on_every_run():
     assert counts() == first
     # the kernel scores one plan, not an array of candidates
     assert compare._candidates(throughput_exact, AggregationPlan(4, 2), *GRID[0]) == 0
+
+
+def test_stage_counts_are_the_same_on_every_run_and_sum_to_the_totals():
+    def batch(round_symbols):
+        scenarios = [replace(GRID[2][0], ber=ber) for ber in (0.0, 1e-5)]
+        return compare._stage_candidates(partial(optimize_exact_batch, round_symbols=round_symbols), scenarios, AC64)
+
+    def counts():
+        searches = [compare._stage_candidates(optimize_exact, scenario, config) for scenario, config in GRID]
+        return searches + [batch(True), batch(False)]
+
+    first = counts()
+    assert counts() == first
+    assert all(list(stages) == list(compare.STAGES) for stages in first)
+    assert [sum(stages.values()) for stages in first[:len(GRID)]] == [
+        compare._candidates(optimize_exact, scenario, config) for scenario, config in GRID
+    ]
+    # a search of one channel is not seeded; the default window binds, so every x has a cap
+    assert [stages["seed"] for stages in first[:len(GRID)]] == [0] * len(GRID)
+    assert first[0]["caps"] == AX256.max_mpdus
+    rounded, unrounded = first[-2:]
+    assert rounded["seed"] > 0 and rounded["symbols"] > 0
+    assert unrounded["symbols"] == 0 and unrounded["caps"] == rounded["caps"]
+
+
+def test_src_lines_counts_the_package_source():
+    lines = compare._src_lines(Path(__file__).resolve().parent.parent)
+    assert isinstance(lines, int) and lines > 0
 
 
 def test_kernel_call_counts_are_the_same_on_every_run():

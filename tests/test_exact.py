@@ -452,6 +452,32 @@ def test_batch_matches_brute_force(flavor, mcs, msdu_len, bers, ppdu_time_limit,
     assert [(res.throughput, res.plan) for res in batch] == expected
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("round_symbols", [True, False])
+@pytest.mark.parametrize(
+    "flavor,mcs,msdu_len,bers,max_mpdus",
+    [
+        (ProtocolFlavor.AX256, 3, 827, [0.9], 3),
+        (ProtocolFlavor.AX256, 3, 827, [0.0, 0.9], 3),
+        (ProtocolFlavor.AX256, 3, 827, [0.9], 70),
+        (ProtocolFlavor.AX256, 3, 827, [0.0, 0.9], 70),
+        (ProtocolFlavor.AC64, 7, 1500, [0.01], 1),
+    ],
+)
+def test_a_zero_best_under_a_huge_overhead_reaches_every_kink_silently(
+    flavor, mcs, msdu_len, bers, max_mpdus, round_symbols,
+):
+    # every score of a lossy channel here is below _PRUNE_FLOOR, so its best is
+    # zeroed and its kink intervals must start at x = 1.  Under a 1e300-us
+    # block ack the lower end best*o / d is 0 / inf = 0; a best of -1 in its
+    # place would give lower ends far below int64, whose cast warns
+    config = replace(default_config(flavor), back_duration=1e300, max_mpdus=max_mpdus)
+    scenarios = [Scenario(flavor, mcs, ber, msdu_len) for ber in bers]
+    batch = optimize_exact_batch(scenarios, config, round_symbols=round_symbols)
+    expected = [_brute_force(scenario, config, round_symbols=round_symbols) for scenario in scenarios]
+    assert [(res.throughput, res.plan) for res in batch] == expected
+
+
 def test_batch_without_a_feasible_plan_raises_for_every_ber():
     tiny = replace(AC, ppdu_time_limit=50.0)
     scenarios = [Scenario(ProtocolFlavor.AC64, 0, ber, 64) for ber in (0.0, 1e-6, 1e-5)]

@@ -298,6 +298,11 @@ def test_apply_overrides_rejects_unknown_key():
         apply_overrides(default_config(ProtocolFlavor.AC64), DEFAULT_OVERHEAD, {"nope": 1})
 
 
+def test_default_config_takes_a_flavor_not_its_name():
+    with pytest.raises(ValueError, match="unknown flavor: 'ax256'"):
+        default_config("ax256")
+
+
 def test_flavor_parse():
     assert ProtocolFlavor.parse(" AX256 ") is ProtocolFlavor.AX256
     with pytest.raises(ValueError, match="unknown protocol flavor"):
