@@ -469,8 +469,8 @@ def test_a_zero_best_under_a_huge_overhead_reaches_every_kink_silently(
 ):
     # every score of a lossy channel here is below _PRUNE_FLOOR, so its best is
     # zeroed and its kink intervals must start at x = 1.  Under a 1e300-us
-    # block ack the lower end best*o / d is 0 / inf = 0; a best of -1 in its
-    # place would give lower ends far below int64, whose cast warns
+    # block ack each lower end best*o / d is 0 (0 / inf where d <= 0); a best
+    # of -1 in its place would give lower ends far below int64, whose cast warns
     config = replace(default_config(flavor), back_duration=1e300, max_mpdus=max_mpdus)
     scenarios = [Scenario(flavor, mcs, ber, msdu_len) for ber in bers]
     batch = optimize_exact_batch(scenarios, config, round_symbols=round_symbols)
