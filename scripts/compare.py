@@ -18,9 +18,8 @@ reports, as the fastest of ``REPEATS`` runs unless said otherwise:
 - the same for the seed-1 ``scenario-mix`` requests of the checkout's
   ``bench/workloads.py``, resolved to configs outside the timing: mostly
   small searches, where fixed costs show;
-- the default 408-point sweep, rounded and unrounded, and one huge search
-  (ax256, MCS 11, BER 1e-6, L=64, a 1e5-us PPDU limit, a window of 1e6
-  frames), fastest of ``SWEEP_REPEATS``, with the huge search's peak
+- the default 408-point sweep, rounded and unrounded, and the huge searches
+  of ``HUGE``, fastest of ``SWEEP_REPEATS``, with each huge search's peak
   ``tracemalloc`` allocation;
 - the cold start of each command of ``CLI``: a fresh ``python -m aggthru``
   process, output discarded;
@@ -34,7 +33,7 @@ reports, as the fastest of ``REPEATS`` runs unless said otherwise:
   and the candidate plans scored, in total and per search stage
   (``_stage_candidates``), per cold ``optimize_exact`` over the default grid
   and over the ``scenario-mix`` requests, per default sweep and, for
-  candidates, in the huge search, and the calls of one warm
+  candidates, in each huge search, and the calls of one warm
   ``throughput_exact`` of each ``KERNEL`` plan (``_kernel_calls``), all in
   ``_counts``: the same on every run, so they show a change in work too small
   for the timings.
@@ -67,6 +66,11 @@ MC_CYCLES = 20_000
 FLAVORS = ("ac64", "ax64", "ax256")
 STAGES = ("caps", "seed", "kinks", "symbols")   # of one search, in the order it scores them
 SIZE_CLASSES = ("small", "medium", "large")
+# name -> the limit each huge search lifts, for ax256, MCS 11, BER 1e-6, L=64 under a 1e5-us PPDU limit
+HUGE = {
+    "huge_1e5": {"max_mpdus": 10**6},               # a window of 1e6 frames
+    "huge_bytes_1e5": {"max_mpdu_bytes": 10**12},   # MPDUs of up to 1e12 bytes
+}
 
 # name -> (statement, unit); the statement runs in the namespace of _kernel
 KERNEL = {
@@ -95,8 +99,7 @@ UNITS = {
     "optimize_exact.scenario_mix.ms_p90": "ms",
     "sweep.rounded_s": "s",
     "sweep.unrounded_s": "s",
-    "huge_1e5.s": "s",
-    "huge_1e5.peak_alloc_mb": "MB",
+    **{f"{name}.{metric}": unit for name in HUGE for metric, unit in (("s", "s"), ("peak_alloc_mb", "MB"))},
     **{f"cli.{command}.cold_s": "s" for command in CLI},
     "tier1.wall_s": "s",
 }
@@ -219,13 +222,13 @@ def _kernel_calls() -> dict:
     return out
 
 
-def _huge():
-    """``(scenario, config)`` of the huge search: a 1e5-us PPDU limit, a window of 1e6 frames."""
+def _huge(name: str):
+    """``(scenario, config)`` of the huge search ``name`` of ``HUGE``."""
     from dataclasses import replace
 
     from aggthru import ProtocolFlavor, Scenario, default_config
 
-    config = replace(default_config(ProtocolFlavor.AX256), ppdu_time_limit=1e5, max_mpdus=10**6)
+    config = replace(default_config(ProtocolFlavor.AX256), ppdu_time_limit=1e5, **HUGE[name])
     return Scenario(ProtocolFlavor.AX256, 11, 1e-6, 64), config
 
 
@@ -308,7 +311,7 @@ def _kernel() -> dict:
 
 
 def _optimizer() -> dict:
-    """Every ``optimize_exact.*``, ``sweep.*`` and ``huge_1e5.*`` entry of ``UNITS``."""
+    """Every ``optimize_exact.*``, ``sweep.*`` and ``HUGE`` entry of ``UNITS``."""
     import tracemalloc
 
     import numpy as np
@@ -343,13 +346,14 @@ def _optimizer() -> dict:
     out["sweep.unrounded_s"] = _fastest(
         lambda: run_sweep(SweepGrid(), round_symbols=False), SWEEP_REPEATS, _cold_reset,
     )
-    scenario, huge = _huge()
-    out["huge_1e5.s"] = _fastest(lambda: optimize_exact(scenario, huge), SWEEP_REPEATS, _cold_reset)
-    _cold_reset()
-    tracemalloc.start()
-    optimize_exact(scenario, huge)
-    out["huge_1e5.peak_alloc_mb"] = tracemalloc.get_traced_memory()[1] / 1e6
-    tracemalloc.stop()
+    for name in HUGE:
+        scenario, huge = _huge(name)
+        out[f"{name}.s"] = _fastest(lambda: optimize_exact(scenario, huge), SWEEP_REPEATS, _cold_reset)
+        _cold_reset()
+        tracemalloc.start()
+        optimize_exact(scenario, huge)
+        out[f"{name}.peak_alloc_mb"] = tracemalloc.get_traced_memory()[1] / 1e6
+        tracemalloc.stop()
     return out
 
 
@@ -357,7 +361,7 @@ def _counts() -> dict:
     """Function calls (``_calls``) and candidates scored (``_stage_candidates``).
 
     The mean per cold search of the grid and of ``scenario-mix`` and the total
-    per default sweep; the candidates also of the huge search, each in total
+    per default sweep; the candidates also of each huge search, each in total
     and per stage (``<name>.<stage>``), and the calls of the kernel
     (``_kernel_calls``).
     """
@@ -383,7 +387,8 @@ def _counts() -> dict:
     candidates("optimize_exact.scenario_mix.candidates_per_search",
                [_stage_candidates(optimize_exact, *s) for s in mix], statistics.fmean)
     candidates("sweep.rounded.candidates", [_stage_candidates(run_sweep, SweepGrid())], sum)
-    candidates("huge_1e5.candidates", [_stage_candidates(optimize_exact, *_huge())], sum)
+    for name in HUGE:
+        candidates(f"{name}.candidates", [_stage_candidates(optimize_exact, *_huge(name))], sum)
     out.update(_kernel_calls())
     return out
 

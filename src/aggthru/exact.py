@@ -8,45 +8,22 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .geometry import (
     AggregationPlan,
-    AirtimeBreakdown,
-    Feasibility,
+    InfeasiblePlanError,  # noqa: F401  (part of this module's interface)
     Link,
+    ThroughputResult,
     success_probability,  # noqa: F401  (part of this module's interface)
 )
 from .params import BA64_FRAMES, DEFAULT_OVERHEAD, OverheadConfig, ProtocolConfig, Scenario
 
 
-class InfeasiblePlanError(ValueError):
-    """The plan violates a transmission limit, the ``Feasibility`` it is raised with.
-
-    The message is formatted only when read: most raises are caught and
-    discarded (a throughput curve stepping past the limits).
-    """
-
-    @property
-    def verdict(self) -> Feasibility:
-        return self.args[0]
-
-    def __str__(self) -> str:
-        return f"infeasible plan: {self.verdict.value} limit violated"
-
-
 class NoFeasiblePlanError(ValueError):
     """The scenario admits no transmission at all."""
-
-
-class ThroughputResult(NamedTuple):
-    throughput: float              # Mbps
-    plan: AggregationPlan
-    airtime: AirtimeBreakdown
-    goodput_bits_expected: float   # expected delivered payload bits per cycle
 
 
 def throughput_exact(
@@ -55,29 +32,47 @@ def throughput_exact(
     config: ProtocolConfig,
     overhead: OverheadConfig = DEFAULT_OVERHEAD,
 ) -> ThroughputResult:
-    """Expected throughput of a feasible plan [Mbps], in whole OFDM symbols.
+    """Expected throughput of a feasible plan [Mbps], in whole OFDM symbols: ``Link.throughput``.
 
     Raises ``InfeasiblePlanError`` with the first limit the plan violates,
-    checked in the order of ``Link.verdict``.  The plan's PSDU bits are
-    computed once and shared by the verdict and the airtime.
+    checked in the order of ``Link.verdict``.
     """
-    link = Link.of(scenario, config, overhead)
-    m = plan.total_msdus
-    bits = link.psdu_bits(plan.x, m)
-    verdict = link.verdict(plan, bits)
-    if verdict is not Feasibility.OK:
-        raise InfeasiblePlanError(verdict)
-    air = link.airtime(plan, bits)
-    good = link.goodput(plan.x, m)
-    return ThroughputResult(good / air.cycle_time, plan, air, good)
+    return Link.of(scenario, config, overhead).throughput(plan)
 
 
 # Relative float slack on an upper bound: the bound is exact in real
 # arithmetic but evaluated in floats, so a kink or segment is dropped only
 # when its bound, widened by this factor, still falls below the best value found.
 _BOUND_SLACK = 1e-9
+_TINY = np.finfo(float).tiny   # the smallest normal double
 # A best value below this prunes nothing: near the subnormals one ulp exceeds the slack.
-_PRUNE_FLOOR = np.finfo(float).tiny / _BOUND_SLACK
+_PRUNE_FLOOR = _TINY / _BOUND_SLACK
+
+
+def _peak(link: Link, delta: float, lift: float, ym: int) -> int:
+    """``y*`` of ``optimize_exact``: from it on ``v`` falls by the factor ``1 + delta`` per MSDU; else ``ym``.
+
+    Starts from the closed form, the smallest integer above
+    ``1/expm1(t - lift)`` with ``t = -step*log_q`` and ``lift = log1p(delta)``,
+    and settles its float error in two comparisons of the doubles
+    ``v_table`` holds.
+    """
+    c0, step, log_q = link.c0, link.step, link.log_q
+    t = -step * log_q
+    if t <= lift:   # BER 0, or v falls by less than that even at y = 1
+        return ym
+    r = 0.0 if t > 700 else 1 / math.expm1(t - lift)   # expm1 overflows past 709
+    if r >= ym:
+        return ym
+    y = int(r) + 1
+    v0 = y * math.exp((c0 + step * y) * log_q)
+    v1 = (y + 1) * math.exp((c0 + step * (y + 1)) * log_q)
+    if v0 >= _TINY and v1 * (1 + delta) <= v0:
+        return y
+    v2 = (y + 2) * math.exp((c0 + step * (y + 2)) * log_q)
+    if v1 >= _TINY and v2 * (1 + delta) <= v1:
+        return y + 1
+    return ym
 
 
 def _ranges(start, counts):
@@ -148,8 +143,41 @@ def optimize_exact(
     needs ``best`` at or above ``_PRUNE_FLOOR``, where the slack covers float
     error: below it nothing is pruned, every kink or segment is scored.
 
+    Past the peak of ``v`` no MSDU adds goodput, so ``y`` stops at ``y*``
+    (``_peak``), however far a lifted ``max_mpdu_bytes`` lets it run.  For
+    BER > 0 the ratio ``v(y+1)/v(y) = (1 + 1/y)*q^s``, ``q = 1 - BER``,
+    falls as ``y`` grows; it is at most ``1/(1 + delta)`` from the smallest
+    integer above ``1/expm1(t - log1p(delta))``, ``t = -s*log q``, on.  That
+    integer, or the next, is ``y*`` if the ``v`` table's doubles meet
+    ``v(y*+1)*(1 + delta) <= v(y*)`` with ``v(y*)`` normal; otherwise, or
+    when ``t <= log1p(delta)``, nothing is cut.  A plan of ``x`` MPDUs and
+    more than ``x*y*`` MSDUs then scores no higher, as a double, than the
+    kink ``(x, x*y*)``, which has fewer MSDUs, so it can neither win nor win
+    a tie.  Its airtime is no shorter, also in floats (every float operation
+    is monotone), and its goodput is no larger:
+
+    - If ``n`` of its MPDUs carry ``y* + 1`` MSDUs and the rest ``y*``, its
+      goodput is below the kink's by ``n*(v(y*) - v(y*+1))``: in the table's
+      doubles about ``delta/(1 + delta)/x`` of it or more, less ``2u`` for
+      the test's own rounding, ``u = 2^-53``.  The two sums round by at most
+      ``3u`` together, and ``delta = max(_BOUND_SLACK, 16u*x_cap)`` leaves
+      more than ``5u`` while ``x_cap < 2^50``, which every search that fits
+      in memory meets: its caps alone take ``8*x_cap`` bytes.  One MSDU's
+      drop is shared by every MPDU of the plan, so the ``x_cap`` term binds
+      above about a million MPDUs.
+    - If every MPDU carries ``y* + 1`` or more, each ``v`` is below ``v(y*)``
+      by the factor ``1 + delta`` or more in real arithmetic.  A table double
+      errs by less than ``(|e| + 2)*u`` for its exponent ``e = C(y)*log q``,
+      which is above ``-753`` at ``y*`` (``v(y*)`` is normal) and falls by
+      ``t < 753`` per MSDU, while ``v`` falls by at least ``1 + 1e-9``: the
+      errors stay far below ``delta``.
+
+    A batch stops ``y`` at the largest ``y*`` of its channels, and a reliable
+    channel, whose ``v`` never falls, stops none: every channel searches at
+    least up to its own ``y*``, and the union argument below covers the rest.
+
     Every candidate is scored with ``Link.scores``, whose value is the
-    expression ``throughput_exact`` takes from ``Link.airtime``, under the
+    expression ``Link.throughput`` takes from ``Link.airtime``, under the
     ``Link``'s ``y_cap`` and ``bit_cap``, the limits ``is_feasible`` checks;
     the lowest ``(x, M)`` among the maxima wins.
 
@@ -212,6 +240,10 @@ def optimize_exact_batch(
     if bit_cap + link.tail_bits >= 2**63 or round_symbols and link.symbols(bit_cap) >= 2**63:
         raise ValueError("the PSDU budget overflows 64-bit counts: ppdu_time_limit, max_mpdus, "
                          "max_mpdu_bytes or service_tail_bits too large, or symbol_time too short")
+    # no y past the peak of v of every channel (optimize_exact argues delta; a reliable channel has no peak)
+    delta = max(_BOUND_SLACK, 2.0**-49 * x_cap)   # 16 units of 2^-53 per MPDU
+    lift = math.log1p(delta)
+    ym = min(ym, max(_peak(each, delta, lift, ym) for each in links))
 
     # v(y) for y = 0..ym+1, one row per channel; index ym+1 exists only so
     # lookups stay in bounds (it is always multiplied by a zero count).  Every
@@ -296,18 +328,13 @@ def optimize_exact_batch(
     top = thr == thr.max(axis=1, keepdims=True)
     best_x = np.where(top, xs_c, x_cap).min(axis=1)
     best_m = np.where(top & (xs_c == best_x[:, None]), ms_c, bit_cap).min(axis=1)
-    # each channel's plan is scored with its own link, as throughput_exact scores it
-    results = []
-    for each, x, m in zip(links, best_x.tolist(), best_m.tolist()):
-        plan = AggregationPlan(x, m // x, m % x)
-        air = each.airtime(plan)
-        good = each.goodput(x, m)
-        results.append(ThroughputResult(good / air.cycle_time, plan, air, good))
-    return tuple(results)
+    return tuple(
+        each.throughput(AggregationPlan(x, m // x, m % x))
+        for each, x, m in zip(links, best_x.tolist(), best_m.tolist())
+    )
 
 
-@dataclass(frozen=True)
-class MonteCarloResult:
+class MonteCarloResult(NamedTuple):
     throughput: float   # Mbps
     std_error: float    # standard error of the throughput estimate
 

@@ -140,6 +140,28 @@ class Feasibility(enum.Enum):
         return self is Feasibility.OK
 
 
+class InfeasiblePlanError(ValueError):
+    """The plan violates a transmission limit, the ``Feasibility`` it is raised with.
+
+    The message is formatted only when read: most raises are caught and
+    discarded (a throughput curve stepping past the limits).
+    """
+
+    @property
+    def verdict(self) -> Feasibility:
+        return self.args[0]
+
+    def __str__(self) -> str:
+        return f"infeasible plan: {self.verdict.value} limit violated"
+
+
+class ThroughputResult(NamedTuple):
+    throughput: float              # Mbps
+    plan: AggregationPlan
+    airtime: AirtimeBreakdown
+    goodput_bits_expected: float   # expected delivered payload bits per cycle
+
+
 # The arguments and result of the last ``Link.of`` call, as one tuple, so a
 # reader in another thread never pairs one call's arguments with another's link.
 _last_link = (None, None, None, None, None)
@@ -152,11 +174,12 @@ class Link:
     Padded MSDUs are 4-byte aligned, so an MPDU of ``y`` MSDUs has
     ``C(y) = c0 + step*y`` bits and a balanced plan of ``x`` MPDUs and
     ``m`` MSDUs a PSDU of ``c0*x + step*m`` bits.  The cycle model is
-    written once per shape: ``goodput``, ``overhead`` and ``airtime`` for one
-    plan, ``scores`` for arrays of candidates (both symbol modes at once, for
-    the optimizer); ``psdu_bits`` and ``symbols`` take ints or numpy arrays
-    alike.  ``verdict`` and the optimizer both check a plan against ``y_cap``
-    and ``bit_cap``, the largest PSDU within the byte and time limits.
+    written once per shape: ``goodput``, ``airtime`` and ``throughput`` for
+    one plan, ``scores`` for arrays of candidates (both symbol modes at once,
+    for the optimizer); ``psdu_bits`` and ``symbols`` take ints or numpy
+    arrays alike.  ``verdict`` and the optimizer both check a plan against
+    ``y_cap`` and ``bit_cap``, the largest PSDU within the byte and time
+    limits.
     """
 
     config: ProtocolConfig
@@ -291,10 +314,6 @@ class Link:
         # ceil(raw) as a float; nan, which no limit admits, where raw is inf
         return np.ceil(raw) if isinstance(raw, np.ndarray) else -(-raw // 1.0)
 
-    def overhead(self, x: int) -> float:
-        """Per-cycle overhead of ``x`` MPDUs [us], with their block ack."""
-        return self.overhead_ba64 if x <= BA64_FRAMES else self.overhead_full
-
     def goodput(self, x: int, m: int) -> float:
         """Expected payload bits per cycle of ``x`` MPDUs carrying ``m`` MSDUs, balanced."""
         y, n = m // x, m % x
@@ -307,8 +326,8 @@ class Link:
 
         ``v`` is a lookup into a table of ``Link.v`` (``v_table``), or into
         one row of it per channel.  The throughput is ``goodput`` over the
-        ``airtime`` cycle time, the same doubles ``throughput_exact`` takes for
-        each plan.  The bound is the same ratio with unrounded symbols, which
+        ``airtime`` cycle time, the same doubles ``throughput`` takes for each
+        plan.  The bound is the same ratio with unrounded symbols, which
         never exceeds the rounded airtime.
         """
         y, n = np.divmod(m, x)
@@ -332,7 +351,8 @@ class Link:
             symbols,
             data_time,
             self.config.preamble + data_time,   # ppdu_time
-            self.overhead(plan.x) + data_time,  # cycle_time
+            # cycle_time: the per-cycle overhead, with the plan's block ack
+            (self.overhead_ba64 if plan.x <= BA64_FRAMES else self.overhead_full) + data_time,
         )
 
     def verdict(self, plan: AggregationPlan, bits=None) -> Feasibility:
@@ -349,6 +369,22 @@ class Link:
         if cfg.max_psdu_bytes is not None and bits > 8 * cfg.max_psdu_bytes:
             return Feasibility.PSDU_TOO_LARGE
         return Feasibility.TIME_LIMIT_EXCEEDED
+
+    def throughput(self, plan: AggregationPlan) -> ThroughputResult:
+        """Expected throughput of a feasible ``plan`` [Mbps].
+
+        Raises ``InfeasiblePlanError`` with the first limit the plan violates,
+        checked in the order of ``verdict``.  The plan's PSDU bits are computed
+        once and shared by the verdict and the airtime.
+        """
+        m = plan.total_msdus
+        bits = self.psdu_bits(plan.x, m)
+        verdict = self.verdict(plan, bits)
+        if verdict is not Feasibility.OK:
+            raise InfeasiblePlanError(verdict)
+        air = self.airtime(plan, bits)
+        good = self.goodput(plan.x, m)
+        return ThroughputResult(good / air.cycle_time, plan, air, good)
 
 
 def airtime(

@@ -111,3 +111,12 @@ def test_kernel_call_counts_are_the_same_on_every_run():
     assert set(first) == {"throughput_exact.feasible.calls", "throughput_exact.infeasible.calls"}
     assert all(isinstance(n, int) and n > 0 for n in first.values())
     assert compare._kernel_calls() == first
+
+
+def test_the_lifted_byte_search_is_recorded_like_the_huge_window():
+    assert {"huge_bytes_1e5.s", "huge_bytes_1e5.peak_alloc_mb"} <= set(compare.UNITS)
+    scenario, config = compare._huge("huge_bytes_1e5")
+    assert (config.max_mpdu_bytes, config.max_mpdus, config.ppdu_time_limit) == (10**12, AX256.max_mpdus, 1e5)
+    stages = compare._stage_candidates(optimize_exact, scenario, config)
+    assert list(stages) == list(compare.STAGES) and stages["caps"] == AX256.max_mpdus
+    assert compare._stage_candidates(optimize_exact, scenario, config) == stages

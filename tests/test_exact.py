@@ -245,6 +245,9 @@ def test_optimizer_dominates_random_plans(flavor, mcs, ber, msdu_len):
     mac_header=st.integers(min_value=1, max_value=40),
     fcs=st.integers(min_value=0, max_value=8),
 )
+# the peak of v (y* = 16) below y_cap = 40 stops the search's y, in both symbol modes
+@example(ProtocolFlavor.AX256, 11, 1e-4, 64, 5484.0, 40, 0, 8, True, DEFAULT_OVERHEAD, 4, 28, 4)
+@example(ProtocolFlavor.AX256, 11, 1e-4, 64, 5484.0, 40, 0, 8, False, DEFAULT_OVERHEAD, 4, 28, 4)
 def test_optimizer_matches_brute_force_property(
     flavor, mcs, ber, msdu_len, ppdu_time_limit, y_cap, byte_slack, max_mpdus, round_symbols, overhead,
     mpdu_delimiter, mac_header, fcs,
@@ -371,6 +374,21 @@ def test_optimizer_memory_stays_bounded_at_huge_limits(ppdu_time_limit, peak_mb,
     assert peak < peak_mb * 1e6
 
 
+def test_optimizer_stops_at_the_peak_of_v_under_a_lifted_mpdu_byte_cap():
+    # without the cut at y* (1563 here) every y up to the budget's 749 963 was
+    # searched: 119.7 MB at the 1e5-us limit, 1.2 GB at 1e6 us
+    config = replace(AX256, ppdu_time_limit=1e5, max_mpdu_bytes=10**12)
+    scenario = Scenario(ProtocolFlavor.AX256, 11, 1e-6, 64)
+    tracemalloc.start()
+    try:
+        res = optimize_exact(scenario, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (res.plan, res.throughput) == (AggregationPlan(256, 101, 55), 3369.396446853288)
+    assert peak < 40e6
+
+
 def test_optimizer_no_feasible_plan():
     with pytest.raises(NoFeasiblePlanError, match="no transmission"):
         optimize_exact(Scenario(ProtocolFlavor.AC64, 0, 0.0, 11500), AC)
@@ -399,6 +417,12 @@ BATCH_BERS = st.lists(
         "msdu_subheader": st.integers(min_value=0, max_value=50),
     }),
 )
+# alone, each lossy channel stops y at its peak of v below y_cap = 142 (y* = 2 at 1e-3, 16 at 1e-4);
+# a batch stops at the largest, or not at all with a reliable channel
+@example(ProtocolFlavor.AX256, 11, 64, [1e-3, 1e-4], True, {})
+@example(ProtocolFlavor.AX256, 11, 64, [1e-3, 1e-4], False, {})
+@example(ProtocolFlavor.AX256, 11, 64, [1e-3, 0.0], True, {})
+@example(ProtocolFlavor.AX256, 11, 64, [1e-3, 0.0], False, {})
 def test_batch_equals_each_channel_alone(flavor, mcs, msdu_len, bers, round_symbols, overrides):
     # a batch of two or more channels scores every channel over the union of
     # all channels' candidates, with best seeded by the widest kinks; a batch
