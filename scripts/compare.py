@@ -33,7 +33,8 @@ reports, as the fastest of ``REPEATS`` runs unless said otherwise:
   and the candidate plans scored, in total and per search stage
   (``_stage_candidates``), per cold ``optimize_exact`` over the default grid
   and over the ``scenario-mix`` requests, per default sweep and, for
-  candidates, in each huge search, and the calls of one warm
+  candidates, in each huge search, the ``Link.within_time_limit`` calls of
+  one cold default sweep (``_time_checks``), and the calls of one warm
   ``throughput_exact`` of each ``KERNEL`` plan (``_kernel_calls``), all in
   ``_counts``: the same on every run, so they show a change in work too small
   for the timings.
@@ -146,8 +147,8 @@ def _cold_reset() -> None:
     geometry._last_link = (None,) * 5
 
 
-def _calls(call, *args) -> int:
-    """Function calls ``cProfile`` records in one cold ``call(*args)`` (see ``_cold_reset``).
+def _profile(call, *args) -> pstats.Stats:
+    """What ``cProfile`` records in one cold ``call(*args)`` (see ``_cold_reset``).
 
     Python functions and the built-in ones they call, numpy's included; a
     ``NoFeasiblePlanError`` ends the call as a return would.
@@ -160,7 +161,20 @@ def _calls(call, *args) -> int:
         profile.runcall(call, *args)
     except NoFeasiblePlanError:
         pass
-    return pstats.Stats(profile).total_calls
+    return pstats.Stats(profile)
+
+
+def _calls(call, *args) -> int:
+    """Function calls ``cProfile`` records in one cold ``call(*args)`` (see ``_profile``)."""
+    return _profile(call, *args).total_calls
+
+
+def _time_checks(stats: pstats.Stats) -> int:
+    """Calls of ``Link.within_time_limit`` in ``stats``: the steps that settle each ``Link.bit_cap``."""
+    return sum(
+        calls for (filename, _, function), (_, calls, *_) in stats.stats.items()
+        if function == "within_time_limit" and filename.endswith("geometry.py")
+    )
 
 
 def _candidates(call, *args) -> int:
@@ -362,20 +376,22 @@ def _counts() -> dict:
 
     The mean per cold search of the grid and of ``scenario-mix`` and the total
     per default sweep; the candidates also of each huge search, each in total
-    and per stage (``<name>.<stage>``), and the calls of the kernel
-    (``_kernel_calls``).
+    and per stage (``<name>.<stage>``); the time checks of the sweep
+    (``_time_checks``) and the calls of the kernel (``_kernel_calls``).
     """
     from aggthru import optimize_exact, params
     from aggthru.report import SweepGrid, run_sweep
 
     grid = [(scenario, config, params.DEFAULT_OVERHEAD) for *_, scenario, config in _grid()]
     mix = list(_scenario_mix())
+    sweep = _profile(run_sweep, SweepGrid())
     out = {
         "optimize_exact.grid.calls_per_search": statistics.fmean(_calls(optimize_exact, *s) for s in grid),
         "optimize_exact.scenario_mix.calls_per_search": statistics.fmean(
             _calls(optimize_exact, *s) for s in mix
         ),
-        "sweep.rounded.calls": _calls(run_sweep, SweepGrid()),
+        "sweep.rounded.calls": sweep.total_calls,
+        "sweep.rounded.time_checks": _time_checks(sweep),
     }
 
     def candidates(name, searches, reduce):

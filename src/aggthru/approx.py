@@ -104,11 +104,12 @@ def x_opt_coefficient(ber: float, o_m_bits: int, t_limit: float, preamble: float
     b = math.log1p(-ber)
     span = t_limit - preamble
     coefficient = (b * span / 2.0) * (1.0 - math.sqrt(1.0 - 4.0 / (a * b)))
-    # a huge overhead rounds the square root to 1, a huge span overflows
+    # a huge overhead rounds the square root to 1; a huge span, or a BER so
+    # tiny that 4/(a*b) overflows, makes it inf
     if not 0.0 < coefficient < math.inf:
         raise ValueError(
             f"optimal MPDUs per Mbps must be finite and > 0, got {coefficient}: "
-            "per-MPDU overhead or ppdu_time_limit - preamble out of range"
+            "per-MPDU overhead, ppdu_time_limit - preamble or bit error rate out of range"
         )
     return coefficient
 

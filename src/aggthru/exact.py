@@ -17,7 +17,7 @@ from .geometry import (
     InfeasiblePlanError,  # noqa: F401  (part of this module's interface)
     Link,
     ThroughputResult,
-    success_probability,  # noqa: F401  (part of this module's interface)
+    success_probability,
 )
 from .params import BA64_FRAMES, DEFAULT_OVERHEAD, OverheadConfig, ProtocolConfig, Scenario
 
@@ -54,22 +54,20 @@ def _peak(link: Link, delta: float, lift: float, ym: int) -> int:
 
     Starts from the closed form, the smallest integer above
     ``1/expm1(t - lift)`` with ``t = -step*log_q`` and ``lift = log1p(delta)``,
-    and settles its float error in two comparisons of the doubles
-    ``v_table`` holds.
+    and settles its float error in two comparisons of the doubles ``v``
+    gives, the ones ``v_table`` holds.
     """
-    c0, step, log_q = link.c0, link.step, link.log_q
-    t = -step * log_q
+    t = -link.step * link.log_q
     if t <= lift:   # BER 0, or v falls by less than that even at y = 1
         return ym
     r = 0.0 if t > 700 else 1 / math.expm1(t - lift)   # expm1 overflows past 709
     if r >= ym:
         return ym
     y = int(r) + 1
-    v0 = y * math.exp((c0 + step * y) * log_q)
-    v1 = (y + 1) * math.exp((c0 + step * (y + 1)) * log_q)
+    v0, v1 = link.v(y), link.v(y + 1)
     if v0 >= _TINY and v1 * (1 + delta) <= v0:
         return y
-    v2 = (y + 2) * math.exp((c0 + step * (y + 2)) * log_q)
+    v2 = link.v(y + 2)
     if v1 >= _TINY and v2 * (1 + delta) <= v1:
         return y + 1
     return ym
@@ -204,7 +202,7 @@ def optimize_exact(
       below it: the argument above holds as it stands.  A batch of one has
       no union to narrow and is not seeded: seeding every search ran small
       single searches 3.6-4.6 % slower.  Without the seed the default sweep
-      scores 379 109 candidates, not 90 735 (``scripts/compare.py``).
+      scores 379 141 candidates, not 90 767 (``scripts/compare.py``).
     """
     return optimize_exact_batch([scenario], config, overhead)[0]
 
@@ -218,7 +216,8 @@ def optimize_exact_batch(
 ) -> tuple:
     """``optimize_exact`` of every scenario, from one search; they may differ only in BER.
 
-    ``round_symbols`` is passed to ``Link.of``.  This is the search of
+    ``round_symbols`` is passed to ``Link.of``, which builds the link of the
+    first scenario; the others are its ``channel``.  This is the search of
     ``optimize_exact``, which describes it and argues why it is exact for
     each channel; ``optimize_exact`` is its batch of one.  It raises as that
     does, for every scenario at once: whether any plan fits depends on the
@@ -226,8 +225,8 @@ def optimize_exact_batch(
     """
     if len({(s.flavor, s.mcs, s.msdu_len) for s in scenarios}) != 1:
         raise ValueError("one search takes one or more scenarios that differ only in BER")
-    links = [Link.of(s, config, overhead, round_symbols=round_symbols) for s in scenarios]
-    link = links[0]
+    link = Link.of(scenarios[0], config, overhead, round_symbols=round_symbols)
+    links = [link] + [link.channel(s.ber) for s in scenarios[1:]]
     c0, step = link.c0, link.step
     # no plan within the frame-count and MPDU-size caps has a larger PSDU, so
     # this cap changes no verdict; it keeps a huge time limit's budget in int64
@@ -263,7 +262,7 @@ def optimize_exact_batch(
     o = (link.overhead_ba64 + tail_time, link.overhead_full + tail_time)
     best = cap_thr.max(axis=1, keepdims=True)
     if len(links) > 1:
-        # the seed, the widest uniform kink of each y and regime: 90 735 sweep candidates, not 379 109
+        # the seed, the widest uniform kink of each y and regime: 90 767 sweep candidates, not 379 141
         wide = x_top > BA64_FRAMES
         wx = np.concatenate((np.minimum(x_top, BA64_FRAMES), x_top[wide]))
         wm = wx * np.concatenate((ys, ys[wide]))
@@ -290,7 +289,7 @@ def optimize_exact_batch(
     k_thr, ku = link.scores(kx, km, v)
     cand_x, cand_m, cand_thr = [xs, kx], [m_max, km], [cap_thr, k_thr]
 
-    if round_symbols:   # unrounded the ends hold the maximum (a search: 39 658 sweep candidates, not 22 728)
+    if round_symbols:   # unrounded the ends hold the maximum (a search: 39 669 sweep candidates, not 22 728)
         # 3. segment (x, y) runs from M = x*y to the next kink or the cap, and is searched only if
         # the unrounded value of one end reaches the best kink or cap value of some channel (reach;
         # best alone would score 6127, not 1071, candidates per grid search)
@@ -363,7 +362,8 @@ def simulate_throughput(
 
     delivered = np.zeros(cycles, dtype=np.int64)
     for y, count in plan.mpdu_groups():
-        successes = rng.binomial(count, link.p(y), size=cycles) if scenario.ber else count
+        p = success_probability(scenario.ber, link.c0 + link.step * y)
+        successes = rng.binomial(count, p, size=cycles) if scenario.ber else count
         delivered += successes * (8 * scenario.msdu_len * y)
 
     mean_bits = delivered.mean()

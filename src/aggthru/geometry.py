@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -179,7 +178,7 @@ class Link:
     for the optimizer); ``psdu_bits`` and ``symbols`` take ints or numpy
     arrays alike.  ``verdict`` and the optimizer both check a plan against
     ``y_cap`` and ``bit_cap``, the largest PSDU within the byte and time
-    limits.
+    limits; every ``channel`` of a link shares them.
     """
 
     config: ProtocolConfig
@@ -192,6 +191,7 @@ class Link:
     overhead_ba64: float   # per-cycle overhead [us] for x <= BA64_FRAMES
     overhead_full: float   # per-cycle overhead [us] for x > BA64_FRAMES
     payload_bits: float    # MSDU payload [bits]
+    bit_cap: int           # largest PSDU [bits] within max_psdu_bytes and the time limit (< 0: none)
     log_q: float           # log(1 - ber): an intact C-bit MPDU has probability exp(C * log_q)
 
     @classmethod
@@ -244,8 +244,10 @@ class Link:
             overhead_ba64=cycle_overhead(config, overhead, BA64_FRAMES),
             overhead_full=cycle_overhead(config, overhead),
             payload_bits=8.0 * scenario.msdu_len,
+            bit_cap=-1,
             log_q=math.log1p(-scenario.ber),
         )
+        object.__setattr__(link, "bit_cap", link._settle_bit_cap())   # frozen: set once, here
         _last_link = (scenario, config, overhead, round_symbols, link)
         return link
 
@@ -254,9 +256,12 @@ class Link:
         cfg = self.config
         return cfg.preamble + self.symbols(bits) * cfg.symbol_time <= cfg.ppdu_time_limit
 
-    @cached_property
-    def bit_cap(self) -> int:
-        """Largest PSDU [bits] within ``max_psdu_bytes`` and the time limit (< 0: none)."""
+    def channel(self, ber: float) -> "Link":
+        """This link's geometry, ``bit_cap`` included, on a channel of bit error rate ``ber``."""
+        return replace(self, log_q=math.log1p(-ber))
+
+    def _settle_bit_cap(self) -> int:
+        """``bit_cap``, settled against ``within_time_limit``: ``Link.of`` calls it on the link it built."""
         # start from the closed form, floor((limit - preamble) / symbol_time)
         # symbols (whole when rounding; -1 when the preamble alone overruns)
         # less the tail bits, and settle it against within_time_limit, which is
@@ -285,17 +290,9 @@ class Link:
             lo = min(lo, 8 * cfg.max_psdu_bytes)
         return lo
 
-    def p(self, y: int) -> float:
-        """Probability that an MPDU of ``y`` MSDUs arrives intact.
-
-        The same double as ``success_probability(ber, c0 + step*y)``, with
-        ``log1p(-ber)`` taken once per link.
-        """
-        return math.exp((self.c0 + self.step * y) * self.log_q)
-
     def v(self, y: int) -> float:
-        """Expected MSDUs delivered by an MPDU of ``y`` MSDUs."""
-        return y * self.p(y)
+        """Expected MSDUs delivered by an MPDU of ``y`` MSDUs: ``y*success_probability(ber, c0 + step*y)``."""
+        return y * math.exp((self.c0 + self.step * y) * self.log_q)
 
     def v_table(self, n: int) -> np.ndarray:
         """``v(y)`` for ``y = 0..n-1``, each the same double ``v(y)`` returns."""

@@ -108,11 +108,20 @@ def test_crossover_lossy(capsys):
     assert payload["mcs_crossover"] == 2
 
 
+TINY_BER_MESSAGE = (
+    "optimal MPDUs per Mbps must be finite and > 0, got inf: "
+    "per-MPDU overhead, ppdu_time_limit - preamble or bit error rate out of range"
+)
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [
         (("crossover", "--reliable", "--msdu-len", "0"), "msdu_len must be >= 1 byte"),
         (("crossover", "--reliable", "--msdu-len", "-4"), "msdu_len must be >= 1 byte"),
+        # 4/(a*b) overflows at a BER this tiny; no setting was changed
+        (("xopt", "--ber", "1e-320", "--rate", "1"), TINY_BER_MESSAGE),
+        (("crossover", "--ber", "1e-320"), TINY_BER_MESSAGE),
     ],
 )
 def test_out_of_range_count_is_a_one_line_error(capsys, argv, message):

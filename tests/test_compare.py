@@ -120,3 +120,18 @@ def test_the_lifted_byte_search_is_recorded_like_the_huge_window():
     stages = compare._stage_candidates(optimize_exact, scenario, config)
     assert list(stages) == list(compare.STAGES) and stages["caps"] == AX256.max_mpdus
     assert compare._stage_candidates(optimize_exact, scenario, config) == stages
+
+
+def test_time_checks_count_the_settles_of_bit_cap():
+    # the sweep's channels share their geometry's link, so four BERs settle
+    # bit_cap as often as one; the count is the same on every run
+    from aggthru.report import SweepGrid, run_sweep
+
+    def time_checks(bers):
+        grid = SweepGrid(flavors=(ProtocolFlavor.AX256,), bers=bers, msdu_lens=(64, 1500))
+        return compare._time_checks(compare._profile(run_sweep, grid))
+
+    one = time_checks((0.0,))
+    assert isinstance(one, int) and one > 0
+    assert time_checks((0.0, 1e-7, 1e-6, 1e-5)) == one
+    assert time_checks((0.0,)) == one

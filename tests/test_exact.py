@@ -536,6 +536,64 @@ def test_batch_takes_scenarios_that_differ_only_in_ber(others):
         optimize_exact_batch(scenarios, AX256)
 
 
+@pytest.mark.parametrize("round_symbols", [True, False])
+def test_a_batch_settles_its_time_limit_once(monkeypatch, round_symbols):
+    # the channels of a batch share one link's geometry, so a 4-BER batch
+    # settles bit_cap as often as a batch of one
+    checks = []
+    within = Link.within_time_limit
+    monkeypatch.setattr(Link, "within_time_limit", lambda self, bits: checks.append(bits) or within(self, bits))
+
+    def time_checks(bers):
+        geometry._last_link = (None,) * 5
+        checks.clear()
+        scenarios = [Scenario(ProtocolFlavor.AX256, 9, ber, 512) for ber in bers]
+        optimize_exact_batch(scenarios, AX256, round_symbols=round_symbols)
+        return len(checks)
+
+    one = time_checks([0.0])
+    assert one > 0
+    assert time_checks([0.0, 1e-7, 1e-6, 1e-5]) == one
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    flavor=st.sampled_from(list(ProtocolFlavor)),
+    mcs=st.integers(min_value=0, max_value=11),
+    msdu_len=st.integers(min_value=1, max_value=2304),
+    bers=BATCH_BERS,
+    round_symbols=st.booleans(),
+    overrides=st.fixed_dictionaries({}, optional={
+        "ppdu_time_limit": st.floats(min_value=0.0, max_value=20000.0),
+        "max_psdu_bytes": st.one_of(st.none(), st.integers(min_value=1, max_value=10**7)),
+    }),
+)
+@example(ProtocolFlavor.AX256, 9, 512, [0.0, 1e-6, 1e-3], True, {})
+@example(ProtocolFlavor.AX256, 9, 512, [0.0, 1e-6, 1e-3], False, {})
+def test_every_channel_link_is_the_link_of_its_scenario(flavor, mcs, msdu_len, bers, round_symbols, overrides):
+    # a batch builds one link and takes every other channel from it; under
+    # dataclass equality each equals the link its own scenario builds,
+    # bit_cap and log_q included
+    config, overhead = resolve_config(flavor, overrides)
+    scenarios = [Scenario(flavor, mcs % len(config.mcs_rates), ber, msdu_len) for ber in bers]
+
+    def link_of(scenario):
+        geometry._last_link = (None,) * 5
+        return Link.of(scenario, config, overhead, round_symbols=round_symbols)
+
+    expected = [link_of(scenario) for scenario in scenarios]
+    assert [link_of(scenarios[0]).channel(s.ber) for s in scenarios] == expected
+    scored = []
+    throughput = Link.throughput
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Link, "throughput", lambda self, plan: scored.append(self) or throughput(self, plan))
+        try:
+            optimize_exact_batch(scenarios, config, overhead, round_symbols=round_symbols)
+        except NoFeasiblePlanError:
+            return
+    assert scored == expected
+
+
 def test_optimizer_unrounded_not_below_rounded():
     for sc in (
         Scenario(ProtocolFlavor.AC64, 4, 1e-6, 512),

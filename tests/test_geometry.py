@@ -263,13 +263,14 @@ def test_v_table_holds_v(ber):
 )
 def test_scores_are_goodput_over_cycle_time(flavor, mcs, ber, msdu_len, round_symbols, plans):
     cfg = default_config(flavor)
-    link = Link.of(Scenario(flavor, mcs % len(cfg.mcs_rates), ber, msdu_len), cfg, round_symbols=round_symbols)
+    scenario = Scenario(flavor, mcs % len(cfg.mcs_rates), ber, msdu_len)
+    link = Link.of(scenario, cfg, round_symbols=round_symbols)
     x = np.array([x for x, _ in plans])
     m = np.array([x * y + (y % x) for x, y in plans])
     v = link.v_table(int((m // x).max()) + 2).take
     value, bound = link.scores(x, m, v)
     # each plan's score is the scalar kernel's expression, in both symbol modes
-    unrounded = replace(link, round_symbols=False)
+    unrounded = Link.of(scenario, cfg, round_symbols=False)
     for i, (xi, mi) in enumerate(zip(x.tolist(), m.tolist())):
         if mi < 1:
             continue
@@ -326,8 +327,9 @@ def test_link_of_memo_returns_the_link_of_its_arguments():
     y=st.integers(min_value=0, max_value=10**6),
 )
 def test_link_p_is_success_probability(ber, msdu_len, y):
+    # v(y) is y times p, the probability that an MPDU of y MSDUs arrives intact
     link = Link.of(Scenario(ProtocolFlavor.AX256, 9, ber, msdu_len), AX256)
-    assert link.p(y) == success_probability(ber, link.c0 + link.step * y)
+    assert link.v(y) == y * success_probability(ber, link.c0 + link.step * y)
 
 
 def test_link_cache_keeps_int_sizes():
