@@ -332,6 +332,18 @@ def test_link_p_is_success_probability(ber, msdu_len, y):
     assert link.v(y) == y * success_probability(ber, link.c0 + link.step * y)
 
 
+@pytest.mark.parametrize("round_symbols", [True, False])
+def test_link_of_refuses_a_time_limit_span_beyond_a_double(round_symbols):
+    # bit_cap is settled when the link is built, so every caller of Link.of,
+    # airtime included, gets the one-line error
+    cfg = replace(AX256, ppdu_time_limit=1e308)
+    sc = Scenario(ProtocolFlavor.AX256, 11, 1e-6, 64)
+    with pytest.raises(ValueError, match="^ppdu_time_limit / symbol_time spans more PSDU bits than a float holds$"):
+        Link.of(sc, cfg, round_symbols=round_symbols)
+    with pytest.raises(ValueError, match="spans more PSDU bits"):
+        airtime(AggregationPlan(4, 2), sc, cfg)
+
+
 def test_link_cache_keeps_int_sizes():
     # a float size would make every frame size a float, so floats are refused
     plan = AggregationPlan(100, 3, 0)
