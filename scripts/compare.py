@@ -33,11 +33,11 @@ reports, as the fastest of ``REPEATS`` runs unless said otherwise:
   and the candidate plans scored, in total and per search stage
   (``_stage_candidates``), per cold ``optimize_exact`` over the default grid
   and over the ``scenario-mix`` requests, per default sweep and, for
-  candidates, in each huge search, the ``Link.within_time_limit`` calls of
-  one cold default sweep (``_time_checks``), and the calls of one warm
-  ``throughput_exact`` of each ``KERNEL`` plan (``_kernel_calls``), all in
-  ``_counts``: the same on every run, so they show a change in work too small
-  for the timings.
+  candidates, in each huge search; the ``optimize_exact_batch``,
+  ``Link.v_table`` and ``Link.within_time_limit`` calls of one cold default
+  sweep (``_calls_of``), and the calls of one warm ``throughput_exact`` of
+  each ``KERNEL`` plan (``_kernel_calls``), all in ``_counts``: the same on
+  every run, so they show a change in work too small for the timings.
 
 The report, JSON, gives each side's git SHA, whether its tracked files differ
 from that commit (``dirty``), the lines of its ``src/aggthru/*.py``
@@ -53,7 +53,6 @@ import cProfile
 import hashlib
 import json
 import os
-import pstats
 import re
 import statistics
 import subprocess
@@ -65,7 +64,7 @@ REPEATS = 5
 SWEEP_REPEATS = 3
 MC_CYCLES = 20_000
 FLAVORS = ("ac64", "ax64", "ax256")
-STAGES = ("caps", "seed", "kinks", "symbols")   # of one search, in the order it scores them
+STAGES = ("seed", "caps", "kinks", "symbols")   # of one search call, in the order it scores them
 SIZE_CLASSES = ("small", "medium", "large")
 # name -> the limit each huge search lifts, for ax256, MCS 11, BER 1e-6, L=64 under a 1e5-us PPDU limit
 HUGE = {
@@ -147,7 +146,7 @@ def _cold_reset() -> None:
     geometry._last_link = (None,) * 5
 
 
-def _profile(call, *args) -> pstats.Stats:
+def _profile(call, *args) -> cProfile.Profile:
     """What ``cProfile`` records in one cold ``call(*args)`` (see ``_cold_reset``).
 
     Python functions and the built-in ones they call, numpy's included; a
@@ -161,20 +160,27 @@ def _profile(call, *args) -> pstats.Stats:
         profile.runcall(call, *args)
     except NoFeasiblePlanError:
         pass
-    return pstats.Stats(profile)
+    return profile
+
+
+def _calls_of(profile: cProfile.Profile, function: str = "") -> int:
+    """Function calls in ``profile``, or only those of ``function``, ``<aggthru module>.<name>``.
+
+    The sum over ``getstats()``: ``pstats`` keys functions by file, line and
+    name, so it merges every dataclass-generated ``__init__`` into one entry
+    and keeps only one of their counts.
+    """
+    module, _, name = function.rpartition(".")
+    return sum(
+        entry.callcount for entry in profile.getstats()
+        if not function or not isinstance(entry.code, str)
+        and entry.code.co_name == name and entry.code.co_filename.endswith(f"{module}.py")
+    )
 
 
 def _calls(call, *args) -> int:
-    """Function calls ``cProfile`` records in one cold ``call(*args)`` (see ``_profile``)."""
-    return _profile(call, *args).total_calls
-
-
-def _time_checks(stats: pstats.Stats) -> int:
-    """Calls of ``Link.within_time_limit`` in ``stats``: the steps that settle each ``Link.bit_cap``."""
-    return sum(
-        calls for (filename, _, function), (_, calls, *_) in stats.stats.items()
-        if function == "within_time_limit" and filename.endswith("geometry.py")
-    )
+    """Function calls ``cProfile`` records in one cold ``call(*args)`` (see ``_profile``, ``_calls_of``)."""
+    return _calls_of(_profile(call, *args))
 
 
 def _candidates(call, *args) -> int:
@@ -185,27 +191,37 @@ def _candidates(call, *args) -> int:
 def _stage_candidates(call, *args) -> dict:
     """Candidate plans scored in one cold ``call(*args)`` (see ``_cold_reset``), per search stage.
 
-    Every stage of a search scores its candidates in one ``Link.scores``
-    call, in the order of ``STAGES``: the caps, the seed (only in a batch of
-    two or more channels), the kinks and the last ``M`` of each symbol count
-    (only when rounding).  Each call adds the number of plans its ``x`` and
-    ``m`` broadcast to, one per plan whatever the number of channels.  The
-    kernel scores one plan without ``Link.scores`` and adds nothing.  A
-    ``NoFeasiblePlanError`` ends the call as a return would.
+    Every stage scores its candidates in one ``Link.scores`` call, in the
+    order of ``STAGES``.  A search call of two or more channels first scores
+    the seed of all its MCSs, each at its own rate: the one call whose link
+    holds an array of rates.  Then each MCS scores its caps, its kinks and
+    the last ``M`` of each symbol count (only when rounding).  A checkout
+    that searches one MCS per call and seeds it on its own scores the seed
+    right after the caps instead; this counts both.  Each call adds the
+    number of plans its ``x`` and ``m`` broadcast to, one per plan whatever
+    the number of channels.  The kernel scores one plan without
+    ``Link.scores`` and adds nothing.  A ``NoFeasiblePlanError`` ends the
+    call as a return would.
     """
     import numpy as np
 
     from aggthru import Link, NoFeasiblePlanError
 
     scores, scored = Link.scores, dict.fromkeys(STAGES, 0)
-    stages = []   # the stages left in the current search
+    stages = []   # the stages left in the current MCS's search
+    seeded_ahead = []   # not empty once a call has scored its seed ahead of its MCSs
 
     def counting(self, x, m, *rest, **keywords):
         result = scores(self, x, m, *rest, **keywords)
-        if not stages:   # the caps of a new search; its scores have one row per channel
-            seed, symbols = ["seed"] * (len(result[0]) > 1), ["symbols"] * self.round_symbols
-            stages.extend(["caps", *seed, "kinks", *symbols])
-        scored[stages.pop(0)] += np.broadcast(x, m).size
+        if np.ndim(self.per_symbol):   # the seed of a whole call
+            seeded_ahead.append(True)
+            stage = "seed"
+        else:
+            if not stages:   # the caps of a new search; its scores have one row per channel
+                seed = ["seed"] * (len(result[0]) > 1 and not seeded_ahead)
+                stages.extend(["caps", *seed, "kinks", *["symbols"] * self.round_symbols])
+            stage = stages.pop(0)
+        scored[stage] += np.broadcast(x, m).size
         return result
 
     Link.scores = counting
@@ -232,7 +248,7 @@ def _kernel_calls() -> dict:
         exec(stmt, namespace)
         profile = cProfile.Profile()
         profile.runctx(stmt, namespace, {})
-        out[name.removesuffix("_us") + ".calls"] = pstats.Stats(profile).total_calls
+        out[name.removesuffix("_us") + ".calls"] = _calls_of(profile)
     return out
 
 
@@ -376,8 +392,9 @@ def _counts() -> dict:
 
     The mean per cold search of the grid and of ``scenario-mix`` and the total
     per default sweep; the candidates also of each huge search, each in total
-    and per stage (``<name>.<stage>``); the time checks of the sweep
-    (``_time_checks``) and the calls of the kernel (``_kernel_calls``).
+    and per stage (``<name>.<stage>``); the search calls, ``v`` tables and
+    time checks of the sweep (``_calls_of``) and the calls of the kernel
+    (``_kernel_calls``).
     """
     from aggthru import optimize_exact, params
     from aggthru.report import SweepGrid, run_sweep
@@ -390,8 +407,10 @@ def _counts() -> dict:
         "optimize_exact.scenario_mix.calls_per_search": statistics.fmean(
             _calls(optimize_exact, *s) for s in mix
         ),
-        "sweep.rounded.calls": sweep.total_calls,
-        "sweep.rounded.time_checks": _time_checks(sweep),
+        "sweep.rounded.calls": _calls_of(sweep),
+        "sweep.rounded.searches": _calls_of(sweep, "exact.optimize_exact_batch"),
+        "sweep.rounded.v_tables": _calls_of(sweep, "geometry.v_table"),
+        "sweep.rounded.time_checks": _calls_of(sweep, "geometry.within_time_limit"),
     }
 
     def candidates(name, searches, reduce):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import math
+from dataclasses import replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -90,6 +91,13 @@ def optimize_exact(
     differ by at most one.  Ties break toward fewer MPDUs, then fewer MSDUs.
     The per-cycle overhead depends on ``x`` through the block ack (see
     ``block_ack_duration``).
+
+    No unbalanced plan scores higher: every split of ``M`` MSDUs over ``x``
+    MPDUs has the same PSDU bits (below), so the same airtime and verdict, and
+    the balanced one has the smallest largest MPDU.  Goodput is ``payload *
+    sum(v(y_i))``, and ``v`` is discretely concave up to its integer peak ``P``
+    (``v''`` has the sign of ``t*y - 2``, ``t = -s*log q``): no split beats the
+    balanced one if ``ceil(M/x) <= P``, nor else the kink ``(x, x*P)``.
 
     Only a small candidate set is evaluated; it holds the maximum because:
 
@@ -179,12 +187,12 @@ def optimize_exact(
     ``Link``'s ``y_cap`` and ``bit_cap``, the limits ``is_feasible`` checks;
     the lowest ``(x, M)`` among the maxima wins.
 
-    ``optimize_exact_batch`` runs this search for one or more channels (BERs)
-    of one geometry at once, and this function is its batch of one.  A
-    plan's airtime does not depend on the channel, only its goodput does, so
-    each candidate is generated and timed once and scored per channel, with
-    that channel's ``v(y)``.  Two more arguments keep every channel's result
-    the one it gets alone:
+    ``optimize_exact_batch`` runs this search for each MCS of one flavor and
+    MSDU size, for one or more channels (BERs) at once, and this function is
+    its batch of one.  A plan's airtime does not depend on the channel, only
+    its goodput does, so each candidate is generated and timed once and
+    scored per channel, with that channel's ``v(y)``.  Three more arguments
+    keep every channel's result the one it gets alone:
 
     - Union.  Each channel is scored over the union of all the channels'
       candidates: each kink interval reaches down to the lowest lower end of
@@ -203,8 +211,16 @@ def optimize_exact(
       no union to narrow and is not seeded: seeding every search ran small
       single searches 3.6-4.6 % slower.  Without the seed the default sweep
       scores 379 141 candidates, not 90 767 (``scripts/compare.py``).
+    - Rates.  Each MCS is searched on its own over every BER of the call.
+      Nothing crosses MCSs but values with no rate in them: the ``v`` rows,
+      ``y`` and ``C(y)``, sliced to the MCS's ``ym``, and the seeds, scored in
+      one ``Link.scores`` call at their own MCS's rate and reduced per MCS.
+      So each MCS scores the candidates of its own search, the same doubles.
     """
-    return optimize_exact_batch([scenario], config, overhead)[0]
+    result = optimize_exact_batch([scenario], config, overhead)[0]
+    if result is None:
+        raise NoFeasiblePlanError("scenario admits no transmission")
+    return result
 
 
 def optimize_exact_batch(
@@ -214,59 +230,93 @@ def optimize_exact_batch(
     *,
     round_symbols: bool = True,
 ) -> tuple:
-    """``optimize_exact`` of every scenario, from one search; they may differ only in BER.
+    """``optimize_exact`` of every scenario, None where its MCS admits no plan; one flavor and MSDU size.
 
-    ``round_symbols`` is passed to ``Link.of``, which builds the link of the
-    first scenario; the others are its ``channel``.  This is the search of
-    ``optimize_exact``, which describes it and argues why it is exact for
-    each channel; ``optimize_exact`` is its batch of one.  It raises as that
-    does, for every scenario at once: whether any plan fits depends on the
-    geometry, not the channel.
+    The search ``optimize_exact`` argues, per MCS over every BER of the call.
+    ``round_symbols`` goes to ``Link.of`` for one scenario of each MCS, whose
+    other BERs are its ``channel``; a 64-bit overflow at any MCS raises for all.
     """
-    if len({(s.flavor, s.mcs, s.msdu_len) for s in scenarios}) != 1:
-        raise ValueError("one search takes one or more scenarios that differ only in BER")
-    link = Link.of(scenarios[0], config, overhead, round_symbols=round_symbols)
-    links = [link] + [link.channel(s.ber) for s in scenarios[1:]]
-    c0, step = link.c0, link.step
-    # no plan within the frame-count and MPDU-size caps has a larger PSDU, so
-    # this cap changes no verdict; it keeps a huge time limit's budget in int64
-    bit_cap = min(link.bit_cap, config.max_mpdus * (c0 + step * link.y_cap))
-    x_cap = min(config.max_mpdus, bit_cap // (c0 + step))
-    # no MPDU of a feasible plan holds more MSDUs than fit the budget alone
-    ym = min(link.y_cap, (bit_cap - c0) // step)
-    if min(x_cap, ym) < 1:
-        raise NoFeasiblePlanError("scenario admits no transmission")
-    if bit_cap + link.tail_bits >= 2**63 or round_symbols and link.symbols(bit_cap) >= 2**63:
-        raise ValueError("the PSDU budget overflows 64-bit counts: ppdu_time_limit, max_mpdus, "
-                         "max_mpdu_bytes or service_tail_bits too large, or symbol_time too short")
-    # no y past the peak of v of every channel (optimize_exact argues delta; a reliable channel has no peak)
-    delta = max(_BOUND_SLACK, 2.0**-49 * x_cap)   # 16 units of 2^-53 per MPDU
-    lift = math.log1p(delta)
-    ym = min(ym, max(_peak(each, delta, lift, ym) for each in links))
+    if len({(s.flavor, s.msdu_len) for s in scenarios}) != 1:
+        raise ValueError("one search call takes one or more scenarios of one flavor and MSDU size")
+    bers = {s.ber: None for s in scenarios}   # the channels of every MCS, in this order
+    found = {}   # MCS -> BER -> result; None where the MCS admits no plan
+    live = []   # per MCS that admits a plan: it, its channels' links, bit_cap, x_cap and ym
+    ym_all = 0
+    for scenario in scenarios:
+        if scenario.mcs in found:
+            continue
+        found[scenario.mcs] = None
+        link = Link.of(scenario, config, overhead, round_symbols=round_symbols)
+        c0, step = link.c0, link.step
+        # no plan within the frame-count and MPDU-size caps has a larger PSDU, so
+        # this cap changes no verdict; it keeps a huge time limit's budget in int64
+        bit_cap = min(link.bit_cap, config.max_mpdus * (c0 + step * link.y_cap))
+        x_cap = min(config.max_mpdus, bit_cap // (c0 + step))
+        # no MPDU of a feasible plan holds more MSDUs than fit the budget alone
+        ym = min(link.y_cap, (bit_cap - c0) // step)
+        if min(x_cap, ym) < 1:
+            continue
+        if bit_cap + link.tail_bits >= 2**63 or round_symbols and link.symbols(bit_cap) >= 2**63:
+            raise ValueError("the PSDU budget overflows 64-bit counts: ppdu_time_limit, max_mpdus, "
+                             "max_mpdu_bytes or service_tail_bits too large, or symbol_time too short")
+        links = [link if ber == scenario.ber else link.channel(ber) for ber in bers]
+        # no y past the peak of v of every channel (optimize_exact argues delta; a reliable channel has no peak)
+        delta = max(_BOUND_SLACK, 2.0**-49 * x_cap)   # 16 units of 2^-53 per MPDU
+        lift = math.log1p(delta)
+        ym = min(ym, max(_peak(each, delta, lift, ym) for each in links))
+        live.append((scenario.mcs, links, bit_cap, x_cap, ym))
+        ym_all = max(ym_all, ym)
+    if not live:
+        return (None,) * len(scenarios)
 
-    # v(y) for y = 0..ym+1, one row per channel; index ym+1 exists only so
-    # lookups stay in bounds (it is always multiplied by a zero count).  Every
-    # lookup and every score has a leading channel axis, also for one channel.
-    v = functools.partial(np.array([each.v_table(ym + 2) for each in links]).take, axis=1)
+    # built once to the largest ym, sliced to each MCS's (Rates): v(y) for y = 0..ym+1, one row per channel
+    # (index ym+1 only keeps lookups in bounds: a zero count multiplies it), and y and C(y) for y = 1..ym.
+    # Every lookup and every score has a leading channel axis, also for one channel.
+    link = live[0][1][0]
+    v = functools.partial(np.array([each.v_table(ym_all + 2) for each in live[0][1]]).take, axis=1)
+    ys = np.arange(1, ym_all + 1, dtype=np.int64)
+    c = link.c0 + link.step * ys
+    v_ys = v(ys)
+    x_tops = [np.minimum(x_cap, bit_cap // c[:ym]) for *_, bit_cap, x_cap, ym in live]   # widest uniform plans
+    seeds = [None] * len(live)
+    if len(bers) > 1:
+        # the seed, the widest uniform kink of each y and regime: 90 767 sweep candidates, not 379 141;
+        # every MCS's at its own rate in one call, then the best of each channel and MCS
+        wx, wm = [], []
+        for x_top in x_tops:
+            y, wide = ys[:x_top.size], x_top > BA64_FRAMES
+            wx.append(np.concatenate((np.minimum(x_top, BA64_FRAMES), x_top[wide])))
+            wm.append(wx[-1] * np.concatenate((y, y[wide])))
+        sizes = [x.size for x in wx]
+        rates = np.repeat([each[1][0].per_symbol for each in live], sizes)
+        thr = replace(link, per_symbol=rates).scores(np.concatenate(wx), np.concatenate(wm), v)[0]
+        seeds = np.maximum.reduceat(thr, np.cumsum([0] + sizes[:-1]), axis=1).T[..., None]
+    for (mcs, links, bit_cap, x_cap, ym), x_top, seed in zip(live, x_tops, seeds):
+        results = _search(links, bit_cap, x_cap, ym, x_top, seed, v, ys[:ym], c[:ym], v_ys[:, :ym])
+        found[mcs] = dict(zip(bers, results))
+    return tuple(found[s.mcs] and found[s.mcs][s.ber] for s in scenarios)
+
+
+def _search(links, bit_cap, x_cap, ym, x_top, seed, v, ys, c, v_ys):
+    """Steps 1-3 and the pick of ``optimize_exact`` for one MCS: the result of each channel of ``links``.
+
+    ``ys``, ``c``, ``v_ys`` and ``x_top`` hold ``y``, ``C(y)``, ``v(y)`` and the
+    widest uniform plan for ``y = 1..ym``; ``seed`` is each channel's best seed, or None.
+    """
+    link = links[0]
+    c0, step, config = link.c0, link.step, link.config
     slack = 1.0 + _BOUND_SLACK
 
     # 1. the cap M_max(x) of every x
     xs = np.arange(1, x_cap + 1, dtype=np.int64)
     m_max = np.minimum(xs * ym, (bit_cap - c0 * xs) // step)
     cap_thr, cap_u = link.scores(xs, m_max, v)
-    ys = np.arange(1, ym + 1, dtype=np.int64)
-    c = c0 + step * ys
-    x_top = np.minimum(x_cap, bit_cap // c)   # the widest uniform plan of each y
     t_bit = config.symbol_time / link.per_symbol
     tail_time = link.tail_bits * t_bit
     o = (link.overhead_ba64 + tail_time, link.overhead_full + tail_time)
     best = cap_thr.max(axis=1, keepdims=True)
-    if len(links) > 1:
-        # the seed, the widest uniform kink of each y and regime: 90 767 sweep candidates, not 379 141
-        wide = x_top > BA64_FRAMES
-        wx = np.concatenate((np.minimum(x_top, BA64_FRAMES), x_top[wide]))
-        wm = wx * np.concatenate((ys, ys[wide]))
-        best = np.maximum(best, link.scores(wx, wm, v)[0].max(axis=1, keepdims=True))
+    if seed is not None:
+        best = np.maximum(best, seed)
     best[best < _PRUNE_FLOOR] = 0.0   # every kink reaches a zero best
     with np.errstate(over="ignore"):   # inf is the right lower end; an overflow-free form divides by best or d
         best_o, best_b = best[..., None] * o, best * t_bit
@@ -277,7 +327,7 @@ def optimize_exact_batch(
     x_top = x_top[:, None]
     # d = a*(1 + 2*_BOUND_SLACK) - best*b; where it is not positive no kink
     # reaches a positive best, while a zero best is reached by every kink
-    d = (v(ys) * (link.payload_bits * (1.0 + 2 * _BOUND_SLACK)) - best_b * c)[..., None]
+    d = (v_ys * (link.payload_bits * (1.0 + 2 * _BOUND_SLACK)) - best_b * c)[..., None]
     # the lowest lower end of any channel; fmin skips the NaN of a channel
     # none of whose kinks reach its best
     x_lo = np.fmin.reduce(best_o / np.where(d > 0, d, unreached), axis=0)
@@ -289,7 +339,7 @@ def optimize_exact_batch(
     k_thr, ku = link.scores(kx, km, v)
     cand_x, cand_m, cand_thr = [xs, kx], [m_max, km], [cap_thr, k_thr]
 
-    if round_symbols:   # unrounded the ends hold the maximum (a search: 39 669 sweep candidates, not 22 728)
+    if link.round_symbols:   # unrounded the ends hold the maximum (a search: 39 669 sweep candidates, not 22 728)
         # 3. segment (x, y) runs from M = x*y to the next kink or the cap, and is searched only if
         # the unrounded value of one end reaches the best kink or cap value of some channel (reach;
         # best alone would score 6127, not 1071, candidates per grid search)
@@ -327,10 +377,10 @@ def optimize_exact_batch(
     top = thr == thr.max(axis=1, keepdims=True)
     best_x = np.where(top, xs_c, x_cap).min(axis=1)
     best_m = np.where(top & (xs_c == best_x[:, None]), ms_c, bit_cap).min(axis=1)
-    return tuple(
+    return [
         each.throughput(AggregationPlan(x, m // x, m % x))
         for each, x, m in zip(links, best_x.tolist(), best_m.tolist())
-    )
+    ]
 
 
 class MonteCarloResult(NamedTuple):

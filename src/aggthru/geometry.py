@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -258,7 +258,9 @@ class Link:
 
     def channel(self, ber: float) -> "Link":
         """This link's geometry, ``bit_cap`` included, on a channel of bit error rate ``ber``."""
-        return replace(self, log_q=math.log1p(-ber))
+        link = object.__new__(Link)   # the fields copied, without the dataclass __init__ and its cost
+        link.__dict__.update(self.__dict__, log_q=math.log1p(-ber))
+        return link
 
     def _settle_bit_cap(self) -> int:
         """``bit_cap``, settled against ``within_time_limit``: ``Link.of`` calls it on the link it built."""

@@ -1,7 +1,7 @@
 """Grid sweeps over (flavor, MCS, BER, MSDU size) and comparison tables.
 
-A sweep searches each geometry (flavor, MCS, MSDU size) once for all its
-BERs.  CSV output is byte-stable: fixed column order, floats at 6
+A sweep makes one search call per flavor and MSDU size, for all its MCSs
+and BERs.  CSV output is byte-stable: fixed column order, floats at 6
 significant digits, '\\n' line endings.
 """
 from __future__ import annotations
@@ -10,7 +10,7 @@ import json
 from dataclasses import asdict, dataclass, fields
 from typing import Mapping, Optional
 
-from .exact import NoFeasiblePlanError, optimize_exact_batch
+from .exact import optimize_exact_batch
 from .params import ProtocolFlavor, Scenario, phy_rate, resolve_config
 
 DEFAULT_BERS = (0.0, 1e-7, 1e-6, 1e-5)
@@ -74,33 +74,25 @@ def run_sweep(
     """Optimize every grid point; rows ordered by (flavor, ber, msdu_len, mcs).
 
     Each flavor's configuration is its default with ``overrides`` applied
-    (see ``params.resolve_config``).  A plan's airtime does not depend on
-    the BER, so each geometry, a flavor, MCS and MSDU size, is searched
-    once for every BER of the grid (``optimize_exact_batch``).
-    Infeasible points become zero rows instead of aborting the sweep.
+    (see ``params.resolve_config``).  Each flavor and MSDU size is one
+    ``optimize_exact_batch`` call over every MCS and BER of the grid.  An
+    MCS that admits no plan gives zero rows instead of aborting the sweep.
     """
     rows = []
     for flavor in grid.flavors:
         config, overhead = resolve_config(flavor, overrides)
-        columns = []   # one per geometry, in (msdu_len, mcs) order: its rows, one per BER
+        mcss = range(len(config.mcs_rates))
+        by_ber = {ber: [] for ber in grid.bers}   # each in (msdu_len, mcs) order
         for msdu_len in grid.msdu_lens:
-            for mcs in range(len(config.mcs_rates)):
-                rate = phy_rate(config, mcs)
-                scenarios = [Scenario(flavor, mcs, ber, msdu_len) for ber in grid.bers]
-                try:
-                    results = optimize_exact_batch(scenarios, config, overhead, round_symbols=round_symbols)
-                except NoFeasiblePlanError:
-                    columns.append([SweepRow(flavor, mcs, rate, ber, msdu_len, 0, 0, 0, 0.0, 0.0, 0.0)
-                                    for ber in grid.bers])
-                    continue
-                columns.append([
-                    SweepRow(
-                        flavor, mcs, rate, ber, msdu_len, res.plan.x, res.plan.y_base, res.plan.n_extra,
-                        res.throughput, res.airtime.data_time, res.airtime.cycle_time,
-                    )
-                    for ber, res in zip(grid.bers, results)
-                ])
-        for per_ber in zip(*columns):
+            scenarios = [Scenario(flavor, mcs, ber, msdu_len) for mcs in mcss for ber in grid.bers]
+            results = optimize_exact_batch(scenarios, config, overhead, round_symbols=round_symbols)
+            for s, res in zip(scenarios, results):
+                head = (flavor, s.mcs, phy_rate(config, s.mcs), s.ber, msdu_len)
+                by_ber[s.ber].append(SweepRow(*head, 0, 0, 0, 0.0, 0.0, 0.0) if res is None else SweepRow(
+                    *head, res.plan.x, res.plan.y_base, res.plan.n_extra,
+                    res.throughput, res.airtime.data_time, res.airtime.cycle_time,
+                ))
+        for per_ber in by_ber.values():
             rows.extend(per_ber)
     return rows
 

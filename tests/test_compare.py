@@ -101,6 +101,20 @@ def test_stage_counts_are_the_same_on_every_run_and_sum_to_the_totals():
     assert unrounded["symbols"] == 0 and unrounded["caps"] == rounded["caps"]
 
 
+def test_a_call_over_every_mcs_scores_the_candidates_of_each_mcs_alone():
+    # Rates: one call over every MCS scores, stage by stage, what one call per
+    # MCS scores; its seed is one Link.scores call for all the MCSs
+    def stages(mcss, round_symbols):
+        scenarios = [Scenario(ProtocolFlavor.AC64, mcs, ber, 512) for mcs in mcss for ber in (0.0, 1e-5)]
+        return compare._stage_candidates(partial(optimize_exact_batch, round_symbols=round_symbols), scenarios, AC64)
+
+    for round_symbols in (True, False):
+        together = stages(range(10), round_symbols)
+        alone = [stages([mcs], round_symbols) for mcs in range(10)]
+        assert together == {stage: sum(each[stage] for each in alone) for stage in compare.STAGES}
+        assert together["seed"] > 0 and together["caps"] > 0
+
+
 def test_src_lines_counts_the_package_source():
     lines = compare._src_lines(Path(__file__).resolve().parent.parent)
     assert isinstance(lines, int) and lines > 0
@@ -129,9 +143,40 @@ def test_time_checks_count_the_settles_of_bit_cap():
 
     def time_checks(bers):
         grid = SweepGrid(flavors=(ProtocolFlavor.AX256,), bers=bers, msdu_lens=(64, 1500))
-        return compare._time_checks(compare._profile(run_sweep, grid))
+        return compare._calls_of(compare._profile(run_sweep, grid), "geometry.within_time_limit")
 
     one = time_checks((0.0,))
     assert isinstance(one, int) and one > 0
     assert time_checks((0.0, 1e-7, 1e-6, 1e-5)) == one
     assert time_checks((0.0,)) == one
+
+
+def test_sweep_counts_one_search_call_and_one_v_table_per_ber_per_flavor_and_size():
+    # the sweep makes one search call per flavor and MSDU size, which builds
+    # one v row per BER for all its MCSs; the counts are the same on every run
+    from aggthru.report import SweepGrid, run_sweep
+
+    def counts():
+        grid = SweepGrid(flavors=(ProtocolFlavor.AC64, ProtocolFlavor.AX256), bers=(0.0, 1e-6, 1e-5),
+                         msdu_lens=(64, 1500))
+        profile = compare._profile(run_sweep, grid)
+        return [compare._calls_of(profile, name) for name in ("exact.optimize_exact_batch", "geometry.v_table")]
+
+    assert counts() == [4, 12]
+    assert counts() == [4, 12]
+
+
+def test_call_counts_keep_the_count_of_every_dataclass_init():
+    # pstats keys functions by file, line and name, so the generated
+    # __init__ of two dataclasses merge into one entry, which keeps one count
+    import pstats
+
+    def build():
+        Scenario(ProtocolFlavor.AX256, 11, 1e-6, 64)
+        replace(AX256, max_mpdus=8)
+
+    profile = compare._profile(build)
+    inits = [e for e in profile.getstats() if not isinstance(e.code, str) and e.code.co_name == "__init__"]
+    assert [e.callcount for e in inits] == [1, 1]
+    assert compare._calls_of(profile) == sum(e.callcount for e in profile.getstats())
+    assert compare._calls_of(profile) == pstats.Stats(profile).total_calls + 1

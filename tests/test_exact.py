@@ -1,3 +1,4 @@
+import itertools
 import math
 import pickle
 import random
@@ -111,10 +112,16 @@ def _brute_force(scenario, config, overhead=DEFAULT_OVERHEAD, *, round_symbols=T
 
 
 def _optimize(scenario, config, overhead=DEFAULT_OVERHEAD, *, round_symbols=True):
-    """``optimize_exact``; unrounded, the batch of one scenario, which is the same search."""
+    """``optimize_exact``; unrounded, the batch of one scenario, which is the same search.
+
+    Raises ``NoFeasiblePlanError`` where the batch finds no plan (None), as ``optimize_exact`` does.
+    """
     if round_symbols:
         return optimize_exact(scenario, config, overhead)
-    return optimize_exact_batch([scenario], config, overhead, round_symbols=False)[0]
+    res = optimize_exact_batch([scenario], config, overhead, round_symbols=False)[0]
+    if res is None:
+        raise NoFeasiblePlanError("scenario admits no transmission")
+    return res
 
 
 @pytest.mark.parametrize("flavor,mcs", [(ProtocolFlavor.AC64, 0), (ProtocolFlavor.AC64, 9), (ProtocolFlavor.AX256, 11)])
@@ -275,6 +282,49 @@ def test_optimizer_matches_brute_force_property(
     assert res.throughput == expected_thr
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    flavor=st.sampled_from(list(ProtocolFlavor)),
+    mcs=st.integers(min_value=0, max_value=11),
+    ber=st.one_of(st.just(0.0), st.floats(min_value=1e-7, max_value=1e-2)),
+    msdu_len=st.integers(min_value=1, max_value=2304),
+    ppdu_time_limit=st.floats(min_value=60.0, max_value=5400.0),
+    max_mpdu_bytes=st.integers(min_value=400, max_value=11454),
+    max_mpdus=st.integers(min_value=1, max_value=4),
+    round_symbols=st.booleans(),
+)
+# near the peak of v (y* = 2 at BER 1e-3), where v is no longer concave past it
+@example(ProtocolFlavor.AX256, 11, 1e-3, 64, 5400.0, 11454, 4, True)
+@example(ProtocolFlavor.AC64, 0, 1e-2, 1, 5400.0, 400, 4, False)
+def test_no_unbalanced_plan_beats_the_optimizer(
+    flavor, mcs, ber, msdu_len, ppdu_time_limit, max_mpdu_bytes, max_mpdus, round_symbols,
+):
+    # every allocation of M MSDUs to x MPDUs, with at most min(y_cap, 14) in
+    # one MPDU, against the search over balanced plans (optimize_exact's
+    # all-plans argument); empty MPDUs count, as AggregationPlan allows them
+    config = replace(
+        default_config(flavor), ppdu_time_limit=ppdu_time_limit, max_mpdu_bytes=max_mpdu_bytes, max_mpdus=max_mpdus,
+    )
+    scenario = Scenario(flavor, mcs % len(config.mcs_rates), ber, msdu_len)
+    link = Link.of(scenario, config, round_symbols=round_symbols)
+    v = [link.v(y) for y in range(min(link.y_cap, 14) + 1)]
+    cycles = {}   # (x, M) -> cycle time, the same for every allocation
+    top = -math.inf
+    for x in range(1, max_mpdus + 1):
+        for alloc in itertools.combinations_with_replacement(range(len(v)), x):
+            m = sum(alloc)
+            if m == 0 or link.psdu_bits(x, m) > link.bit_cap:
+                continue
+            if (x, m) not in cycles:
+                cycles[x, m] = link.airtime(AggregationPlan(x, m // x, m % x)).cycle_time
+            top = max(top, link.payload_bits * sum(v[y] for y in alloc) / cycles[x, m])
+    best = optimize_exact_batch([scenario], config, round_symbols=round_symbols)[0]
+    if best is None:
+        assert top == -math.inf
+    else:
+        assert top <= best.throughput * (1 + 1e-12)
+
+
 @pytest.mark.parametrize(
     "ber,plan",
     [
@@ -430,15 +480,13 @@ def test_batch_equals_each_channel_alone(flavor, mcs, msdu_len, bers, round_symb
     # two checks that neither the union nor the seed changes a result
     config, overhead = resolve_config(flavor, overrides)
     scenarios = [Scenario(flavor, mcs % len(config.mcs_rates), ber, msdu_len) for ber in bers]
-    try:
-        batch = optimize_exact_batch(scenarios, config, overhead, round_symbols=round_symbols)
-    except NoFeasiblePlanError:
-        for scenario in scenarios:
-            with pytest.raises(NoFeasiblePlanError):
-                _optimize(scenario, config, overhead, round_symbols=round_symbols)
-        return
+    batch = optimize_exact_batch(scenarios, config, overhead, round_symbols=round_symbols)
     assert len(batch) == len(scenarios)
     for scenario, res in zip(scenarios, batch):
+        if res is None:   # no plan
+            with pytest.raises(NoFeasiblePlanError):
+                _optimize(scenario, config, overhead, round_symbols=round_symbols)
+            continue
         alone = _optimize(scenario, config, overhead, round_symbols=round_symbols)
         assert (res.plan, res.throughput) == (alone.plan, alone.throughput)
         assert res == alone
@@ -468,12 +516,47 @@ def test_batch_matches_brute_force(flavor, mcs, msdu_len, bers, ppdu_time_limit,
     )
     scenarios = [Scenario(flavor, mcs % len(config.mcs_rates), ber, msdu_len) for ber in bers]
     expected = [_brute_force(scenario, config, round_symbols=round_symbols) for scenario in scenarios]
-    if expected[0][1] is None:
-        with pytest.raises(NoFeasiblePlanError):
-            optimize_exact_batch(scenarios, config, round_symbols=round_symbols)
+    if expected[0][1] is None:   # no plan: None for every scenario
+        assert optimize_exact_batch(scenarios, config, round_symbols=round_symbols) == (None,) * len(scenarios)
         return
     batch = optimize_exact_batch(scenarios, config, round_symbols=round_symbols)
     assert [(res.throughput, res.plan) for res in batch] == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    flavor=st.sampled_from(list(ProtocolFlavor)),
+    mcss=st.lists(st.integers(min_value=0, max_value=11), min_size=1, max_size=4, unique=True),
+    msdu_len=st.integers(min_value=1, max_value=2500),
+    bers=BATCH_BERS,
+    ber_major=st.booleans(),
+    round_symbols=st.booleans(),
+    overrides=st.fixed_dictionaries({}, optional={
+        "ppdu_time_limit": st.floats(min_value=40.0, max_value=6000.0),
+        "max_mpdus": st.integers(min_value=1, max_value=300),
+        "max_mpdu_bytes": st.integers(min_value=100, max_value=50000),
+    }),
+)
+# MCS 0 admits no plan, and the time limit gives MCSs 1, 4 and 9 each its own ym (1, 5 and 7)
+@example(ProtocolFlavor.AC64, [0, 1, 4, 9], 1500, [0.0, 1e-5], False, True, {"ppdu_time_limit": 100.0})
+@example(ProtocolFlavor.AC64, [9, 0, 1, 4], 1500, [1e-5, 0.0], True, False, {"ppdu_time_limit": 100.0})
+# a lifted MPDU byte cap: ym from 103 (MCS 0) to 624 (MCS 4 on), cut at each channel's peak of v
+@example(ProtocolFlavor.AX256, [0, 3, 11], 64, [1e-4, 0.0, 1e-6], False, True,
+         {"ppdu_time_limit": 300.0, "max_mpdu_bytes": 50000})
+@example(ProtocolFlavor.AX256, [11, 0, 3], 64, [1e-3, 1e-4], True, False,
+         {"ppdu_time_limit": 300.0, "max_mpdu_bytes": 50000})
+def test_a_call_over_several_mcss_equals_each_scenario_alone(
+    flavor, mcss, msdu_len, bers, ber_major, round_symbols, overrides,
+):
+    # Rates: the MCSs of one call share the v rows, the per-y arrays and one
+    # seed call, and each still gets what its batch of one gets, None included
+    config, overhead = resolve_config(flavor, overrides)
+    mcss = list(dict.fromkeys(mcs % len(config.mcs_rates) for mcs in mcss))
+    pairs = [(ber, mcs) for ber in bers for mcs in mcss] if ber_major else [(ber, mcs) for mcs in mcss for ber in bers]
+    scenarios = [Scenario(flavor, mcs, ber, msdu_len) for ber, mcs in pairs]
+    batch = optimize_exact_batch(scenarios, config, overhead, round_symbols=round_symbols)
+    alone = [optimize_exact_batch([scenario], config, overhead, round_symbols=round_symbols)[0] for scenario in scenarios]
+    assert batch == tuple(alone)
 
 
 @pytest.mark.filterwarnings("error")
@@ -503,10 +586,13 @@ def test_a_zero_best_under_a_huge_overhead_reaches_every_kink_silently(
 
 
 def test_batch_without_a_feasible_plan_raises_for_every_ber():
+    # every scenario of an MCS without a plan gets None, and optimize_exact raises for each
     tiny = replace(AC, ppdu_time_limit=50.0)
     scenarios = [Scenario(ProtocolFlavor.AC64, 0, ber, 64) for ber in (0.0, 1e-6, 1e-5)]
-    with pytest.raises(NoFeasiblePlanError, match="no transmission"):
-        optimize_exact_batch(scenarios, tiny)
+    assert optimize_exact_batch(scenarios, tiny) == (None, None, None)
+    for scenario in scenarios:
+        with pytest.raises(NoFeasiblePlanError, match="no transmission"):
+            optimize_exact(scenario, tiny)
 
 
 def test_batch_overflowing_budget_is_the_one_line_error_of_a_single_search():
@@ -524,15 +610,19 @@ def test_batch_overflowing_budget_is_the_one_line_error_of_a_single_search():
 @pytest.mark.parametrize(
     "others",
     [
-        [Scenario(ProtocolFlavor.AX256, 9, 1e-6, 512)],    # another MCS
+        [Scenario(ProtocolFlavor.AX256, 9, 1e-6, 512)],    # another MCS: searched on its own
         [Scenario(ProtocolFlavor.AX256, 8, 1e-6, 1500)],   # another MSDU size
         [Scenario(ProtocolFlavor.AX64, 8, 1e-6, 512)],     # another flavor
         None,                                              # no scenario at all
     ],
 )
 def test_batch_takes_scenarios_that_differ_only_in_ber(others):
+    # a call may mix MCSs and BERs, but not flavors or MSDU sizes
     scenarios = [Scenario(ProtocolFlavor.AX256, 8, 0.0, 512)] + others if others else []
-    with pytest.raises(ValueError, match="differ only in BER"):
+    if scenarios and {s.mcs for s in scenarios} != {8}:
+        assert optimize_exact_batch(scenarios, AX256) == tuple(optimize_exact(s, AX256) for s in scenarios)
+        return
+    with pytest.raises(ValueError, match="of one flavor and MSDU size"):
         optimize_exact_batch(scenarios, AX256)
 
 
@@ -587,10 +677,8 @@ def test_every_channel_link_is_the_link_of_its_scenario(flavor, mcs, msdu_len, b
     throughput = Link.throughput
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Link, "throughput", lambda self, plan: scored.append(self) or throughput(self, plan))
-        try:
-            optimize_exact_batch(scenarios, config, overhead, round_symbols=round_symbols)
-        except NoFeasiblePlanError:
-            return
+        if optimize_exact_batch(scenarios, config, overhead, round_symbols=round_symbols)[0] is None:
+            return   # no plan, nothing scored
     assert scored == expected
 
 

@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from aggthru import geometry, report
 from aggthru import (
+    Link,
     ProtocolFlavor,
     Scenario,
     default_config,
@@ -109,6 +111,34 @@ def test_sweep_geometry_without_a_plan_is_infeasible_at_every_ber():
     rows = run_sweep(grid, overrides={"ppdu_time_limit": 50})
     assert [(r.ber, r.mcs) for r in rows] == [(ber, mcs) for ber in grid.bers for mcs in range(10)]
     assert all(r.x == 0 and r.throughput_mbps == 0.0 for r in rows)
+
+
+def test_sweep_writes_zero_rows_only_for_the_mcss_without_a_plan():
+    # under a 100-us time limit no 1500-byte MSDU fits at MCS 0, while the
+    # other MCSs of the same search call each have a plan
+    grid = SweepGrid(flavors=(ProtocolFlavor.AC64,), bers=(0.0, 1e-5), msdu_lens=(1500,))
+    config = replace(default_config(ProtocolFlavor.AC64), ppdu_time_limit=100.0)
+    rows = run_sweep(grid, overrides={"ppdu_time_limit": 100.0})
+    assert [r.mcs for r in rows if not r.feasible] == [0, 0]
+    assert all(r.x == 0 and r.throughput_mbps == 0.0 and r.cycle_time_us == 0.0 for r in rows if r.mcs == 0)
+    for row in rows:
+        if row.feasible:
+            res = optimize_exact(Scenario(row.flavor, row.mcs, row.ber, row.msdu_len), config)
+            assert (row.x, row.y_base, row.n_extra, row.throughput_mbps) == (
+                res.plan.x, res.plan.y_base, res.plan.n_extra, res.throughput,
+            )
+
+
+def test_a_cold_default_sweep_makes_one_search_call_per_flavor_and_msdu_size(monkeypatch):
+    # 9 search calls, each building one v row per BER for all its MCSs: 36
+    # v tables, not one call per flavor, MCS and MSDU size (102 and 408)
+    calls, tables = [], []
+    batch, v_table = report.optimize_exact_batch, Link.v_table
+    monkeypatch.setattr(report, "optimize_exact_batch", lambda *args, **kw: calls.append(args) or batch(*args, **kw))
+    monkeypatch.setattr(Link, "v_table", lambda self, n: tables.append(n) or v_table(self, n))
+    geometry._last_link = (None,) * 5
+    run_sweep(SweepGrid())
+    assert (len(calls), len(tables)) == (9, 36)
 
 
 def test_sweep_rows_follow_the_grid_order_and_match_single_searches():
