@@ -21,6 +21,8 @@ reports, as the fastest of ``REPEATS`` runs unless said otherwise:
 - the default 408-point sweep, rounded and unrounded, and the huge searches
   of ``HUGE``, fastest of ``SWEEP_REPEATS``, with each huge search's peak
   ``tracemalloc`` allocation;
+- ``rows_to_csv`` and ``rows_to_json`` on the rows of one default sweep
+  (``_writers``);
 - the cold start of each command of ``CLI``: a fresh ``python -m aggthru``
   process, output discarded;
 - the tier-1 suite (``TIER1``, the command of ROADMAP.md), once per child as
@@ -99,6 +101,8 @@ UNITS = {
     "optimize_exact.scenario_mix.ms_p90": "ms",
     "sweep.rounded_s": "s",
     "sweep.unrounded_s": "s",
+    "sweep.csv_ms": "ms",
+    "sweep.json_ms": "ms",
     **{f"{name}.{metric}": unit for name in HUGE for metric, unit in (("s", "s"), ("peak_alloc_mb", "MB"))},
     **{f"cli.{command}.cold_s": "s" for command in CLI},
     "tier1.wall_s": "s",
@@ -387,6 +391,17 @@ def _optimizer() -> dict:
     return out
 
 
+def _writers() -> dict:
+    """``sweep.csv_ms`` and ``sweep.json_ms``: each writer on the rows of one default sweep."""
+    from aggthru.report import SweepGrid, rows_to_csv, rows_to_json, run_sweep
+
+    rows = run_sweep(SweepGrid())
+    return {
+        f"sweep.{name}_ms": _fastest(lambda: write(rows), REPEATS) * 1e3
+        for name, write in (("csv", rows_to_csv), ("json", rows_to_json))
+    }
+
+
 def _counts() -> dict:
     """Function calls (``_calls``) and candidates scored (``_stage_candidates``).
 
@@ -530,7 +545,7 @@ def _child() -> dict:
 
     tier1_wall, tier1 = _tier1()
     return {
-        "timings": {**_kernel(), **_optimizer(), **_cli_cold(), **tier1_wall},
+        "timings": {**_kernel(), **_optimizer(), **_writers(), **_cli_cold(), **tier1_wall},
         "tier1": tier1,
         "counts": _counts(),
         "digests": _digests(),

@@ -12,6 +12,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 
 from .approx import (
     crossover_mcs,
@@ -21,7 +22,7 @@ from .approx import (
 )
 from .exact import NoFeasiblePlanError, optimize_exact, simulate_throughput
 from .geometry import AggregationPlan
-from .params import ProtocolFlavor, Scenario, _coerce_list, load_override_file, resolve_config
+from .params import _READERS, ProtocolFlavor, Scenario, load_override_file, resolve_config
 from .report import SweepGrid, rows_to_csv, rows_to_json, run_sweep
 
 
@@ -75,17 +76,15 @@ def _cmd_optimize(args, overrides) -> int:
     return 0
 
 
+_GRID_READERS = {f.name: _READERS[f.type] for f in fields(SweepGrid)}
+
+
 def _parse_grid_file(path) -> SweepGrid:
     kwargs = {}
-    for key, value in load_override_file(path).items():
-        if key == "flavors":
-            kwargs[key] = tuple(ProtocolFlavor.parse(v) for v in value.split(",") if v.strip())
-        elif key == "bers":
-            kwargs[key] = _coerce_list(key, value, float)
-        elif key == "msdu_lens":
-            kwargs[key] = _coerce_list(key, value, int)
-        else:
+    for key, value in load_override_file(path).items():   # in file order: the first bad line is reported
+        if key not in _GRID_READERS:
             raise ValueError(f"unknown grid key: {key}")
+        kwargs[key] = _GRID_READERS[key](key, value)
     return SweepGrid(**kwargs)
 
 

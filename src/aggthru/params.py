@@ -281,18 +281,19 @@ def _coerce(key: str, value, kind):
     raise ValueError(f"invalid value for {key}: {value!r}")
 
 
-def _coerce_list(key: str, value, kind) -> tuple:
-    """A comma-separated string, or a sequence, as a tuple of ``kind`` (see ``_coerce``)."""
-    items = [v for v in value.split(",") if v.strip()] if isinstance(value, str) else value
-    return tuple(_coerce(key, v, kind) for v in items)
+def _items(value):
+    """A comma-separated string as its non-blank items; a sequence as it is."""
+    return [v for v in value.split(",") if v.strip()] if isinstance(value, str) else value
 
 
-# How an override value is read, per declared field type (``none``: no cap)
+# How a setting or a ``report.SweepGrid`` list is read, per declared type (``none``: no cap)
 _READERS = {
     "float": lambda key, value: _coerce(key, value, float),
     "int": lambda key, value: _coerce(key, value, int),
     "Optional[int]": lambda key, value: None if str(value).lower() == "none" else _coerce(key, value, int),
-    "tuple[float, ...]": lambda key, value: _coerce_list(key, value, float),
+    "tuple[float, ...]": lambda key, value: tuple(_coerce(key, v, float) for v in _items(value)),
+    "tuple[int, ...]": lambda key, value: tuple(_coerce(key, v, int) for v in _items(value)),
+    "tuple[ProtocolFlavor, ...]": lambda key, value: tuple(map(ProtocolFlavor.parse, _items(value))),
 }
 
 

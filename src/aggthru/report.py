@@ -7,7 +7,8 @@ significant digits, '\\n' line endings.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Mapping, Optional
 
 from .exact import optimize_exact_batch
@@ -24,9 +25,9 @@ class SweepGrid:
     channel conditions and three MSDU sizes.  No list may be empty or
     repeat a value."""
 
-    flavors: tuple = DEFAULT_FLAVORS
-    bers: tuple = DEFAULT_BERS
-    msdu_lens: tuple = DEFAULT_MSDU_LENS
+    flavors: tuple[ProtocolFlavor, ...] = DEFAULT_FLAVORS
+    bers: tuple[float, ...] = DEFAULT_BERS
+    msdu_lens: tuple[int, ...] = DEFAULT_MSDU_LENS
 
     def __post_init__(self):
         for f in fields(self):
@@ -63,6 +64,10 @@ class SweepRow:
 
 CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
 CSV_HEADER = ",".join(CSV_COLUMNS)
+_row_values = attrgetter(*CSV_COLUMNS)
+# How a field is written as a CSV cell, per declared type
+_CELLS = {"ProtocolFlavor": attrgetter("value"), "int": str, "float": lambda v: format(v, ".6g")}
+_ROW_CELLS = tuple(_CELLS[f.type] for f in fields(SweepRow))
 
 
 def run_sweep(
@@ -97,26 +102,17 @@ def run_sweep(
     return rows
 
 
-def _fmt(value) -> str:
-    if isinstance(value, ProtocolFlavor):
-        return value.value
-    if isinstance(value, bool):
-        raise TypeError("unexpected bool in row")
-    if isinstance(value, int):
-        return str(value)
-    return format(value, ".6g")
-
-
 def rows_to_csv(rows) -> str:
     lines = [CSV_HEADER]
     for row in rows:
-        lines.append(",".join(_fmt(getattr(row, col)) for col in CSV_COLUMNS))
+        lines.append(",".join([cell(v) for cell, v in zip(_ROW_CELLS, _row_values(row))]))
     return "\n".join(lines) + "\n"
 
 
 def rows_to_json(rows) -> str:
-    out = [{**asdict(row), "flavor": row.flavor.value} for row in rows]
-    return json.dumps(out, indent=2, allow_nan=False) + "\n"
+    out = [dict(zip(CSV_COLUMNS, _row_values(row))) for row in rows]
+    # numbers are written as they are, a flavor as its name
+    return json.dumps(out, indent=2, allow_nan=False, default=attrgetter("value")) + "\n"
 
 
 @dataclass(frozen=True)

@@ -485,6 +485,8 @@ def test_sweep_grid_file_and_json(capsys, tmp_path):
         ("flavors = ac64, AC64", "flavors must not repeat a value"),
         ("msdu_lens = 1500, 64, 1500.0", "msdu_lens must not repeat a value"),
         ("foo = 1", "unknown grid key: foo"),
+        ("bers = 1e-6\nfoo = 2\nbar = 3", "unknown grid key: foo"),   # the first bad line
+        ("bers = x\nfoo = 1", "invalid value for bers: 'x'"),
     ],
 )
 def test_bad_grid_file_is_a_one_line_error(capsys, tmp_path, text, message):

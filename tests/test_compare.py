@@ -136,6 +136,12 @@ def test_the_lifted_byte_search_is_recorded_like_the_huge_window():
     assert compare._stage_candidates(optimize_exact, scenario, config) == stages
 
 
+def test_the_sweep_writers_are_recorded_on_one_default_sweep():
+    writers = compare._writers()
+    assert set(writers) == {"sweep.csv_ms", "sweep.json_ms"} and all(compare.UNITS[name] == "ms" for name in writers)
+    assert all(0.0 < ms < 1e3 for ms in writers.values())
+
+
 def test_time_checks_count_the_settles_of_bit_cap():
     # the sweep's channels share their geometry's link, so four BERs settle
     # bit_cap as often as one; the count is the same on every run

@@ -33,6 +33,7 @@ from aggthru import (
     throughput_exact,
     y_max,
 )
+from aggthru.exact import _BOUND_SLACK, _peak
 
 AC = default_config(ProtocolFlavor.AC64)
 AX64 = default_config(ProtocolFlavor.AX64)
@@ -439,6 +440,29 @@ def test_optimizer_stops_at_the_peak_of_v_under_a_lifted_mpdu_byte_cap():
     assert peak < 40e6
 
 
+def test_peak_settles_one_past_the_closed_form_where_its_rounding_falls_short():
+    # BERs within 40 ulps of where the closed form 1/expm1(t - lift) for y*
+    # crosses 4 (ac64, L=64): at some of them the doubles v gives fail at the
+    # closed form's y = 4, and _peak's second comparison settles y* = 5.  The
+    # search there still finds the brute-force optimum.
+    config = replace(AC, max_mpdus=4)   # so delta is the bound slack
+    delta, lift = _BOUND_SLACK, math.log1p(_BOUND_SLACK)
+    step = Link.of(Scenario(ProtocolFlavor.AC64, 0, 1e-6, 64), config).step
+    ber0 = -math.expm1(-(math.log1p(1 / 4) + lift) / step)
+    settled = []
+    for ber in (ber0 + j * math.ulp(ber0) for j in range(-40, 41)):
+        link = Link.of(Scenario(ProtocolFlavor.AC64, 0, ber, 64), config)
+        y = int(1 / math.expm1(-link.step * link.log_q - lift)) + 1
+        if link.v(y + 1) * (1 + delta) > link.v(y):
+            assert link.v(y + 2) * (1 + delta) <= link.v(y + 1)
+            assert _peak(link, delta, lift, 100) == y + 1
+            settled.append(ber)
+    assert settled
+    scenario = Scenario(ProtocolFlavor.AC64, 0, settled[0], 64)
+    res = optimize_exact(scenario, config)
+    assert (res.throughput, res.plan) == _brute_force(scenario, config)
+
+
 def test_optimizer_no_feasible_plan():
     with pytest.raises(NoFeasiblePlanError, match="no transmission"):
         optimize_exact(Scenario(ProtocolFlavor.AC64, 0, 0.0, 11500), AC)
@@ -789,6 +813,14 @@ def test_monte_carlo_close_to_analytic(seed):
     mc = simulate_throughput(res.plan, sc, AX256, cycles=100_000, seed=seed)
     assert mc.throughput == pytest.approx(res.throughput, rel=0.005)
     assert abs(mc.throughput - res.throughput) <= 3.0 * mc.std_error
+
+
+def test_monte_carlo_of_one_cycle_has_no_standard_error():
+    sc = Scenario(ProtocolFlavor.AX256, 7, 1e-5, 1500)
+    plan = AggregationPlan(256, 1, 6)
+    res = simulate_throughput(plan, sc, AX256, cycles=1, seed=42)
+    assert res.std_error == 0.0
+    assert 0.0 < res.throughput <= throughput_exact(plan, replace(sc, ber=0.0), AX256).throughput
 
 
 def test_monte_carlo_rejects_bad_cycles():

@@ -51,6 +51,11 @@ def test_mpdu_bits_examples():
     assert mpdu_bits(1, MsduSlot.for_payload(64)) == 928
 
 
+def test_mpdu_bytes_rejects_a_negative_msdu_count():
+    with pytest.raises(ValueError, match="y must be >= 0"):
+        mpdu_bytes(-1, MsduSlot.for_payload(64))
+
+
 @given(st.integers(min_value=0, max_value=200), st.integers(min_value=1, max_value=2000))
 def test_mpdu_bits_properties(y, payload):
     slot = MsduSlot.for_payload(payload)
