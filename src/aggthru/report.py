@@ -111,7 +111,7 @@ def rows_to_csv(rows) -> str:
 
 def rows_to_json(rows) -> str:
     out = [dict(zip(CSV_COLUMNS, _row_values(row))) for row in rows]
-    # numbers are written as they are, a flavor as its name
+    # numbers as they are; a flavor, the one field type JSON has no form for, as its value
     return json.dumps(out, indent=2, allow_nan=False, default=attrgetter("value")) + "\n"
 
 

@@ -442,15 +442,16 @@ def test_optimizer_stops_at_the_peak_of_v_under_a_lifted_mpdu_byte_cap():
 
 def test_peak_settles_one_past_the_closed_form_where_its_rounding_falls_short():
     # BERs within 40 ulps of where the closed form 1/expm1(t - lift) for y*
-    # crosses 4 (ac64, L=64): at some of them the doubles v gives fail at the
-    # closed form's y = 4, and _peak's second comparison settles y* = 5.  The
-    # search there still finds the brute-force optimum.
+    # crosses k = 2..20 (ac64, L=64): at some of them (63 of the 1539 on
+    # x86-64 Linux) the doubles v gives fail at the closed form's y, and
+    # _peak's second comparison settles y* one higher.  The search there
+    # still finds the brute-force optimum.
     config = replace(AC, max_mpdus=4)   # so delta is the bound slack
     delta, lift = _BOUND_SLACK, math.log1p(_BOUND_SLACK)
     step = Link.of(Scenario(ProtocolFlavor.AC64, 0, 1e-6, 64), config).step
-    ber0 = -math.expm1(-(math.log1p(1 / 4) + lift) / step)
+    crossings = [-math.expm1(-(math.log1p(1 / k) + lift) / step) for k in range(2, 21)]
     settled = []
-    for ber in (ber0 + j * math.ulp(ber0) for j in range(-40, 41)):
+    for ber in (ber0 + j * math.ulp(ber0) for ber0 in crossings for j in range(-40, 41)):
         link = Link.of(Scenario(ProtocolFlavor.AC64, 0, ber, 64), config)
         y = int(1 / math.expm1(-link.step * link.log_q - lift)) + 1
         if link.v(y + 1) * (1 + delta) > link.v(y):
