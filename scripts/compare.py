@@ -5,8 +5,11 @@
 
 Each child is a new Python process that imports ``aggthru`` from the ``src``
 directory of one checkout and runs ``_child`` of this file, so both sides run
-the same measurement.  With two checkouts the children run in alternating
-pairs (BEFORE first in even pairs, AFTER first in odd ones).  A child
+the same measurement.  Before the first child, each checkout's ``src`` is
+compiled to bytecode (``compileall``), so no side starts its children
+without cached bytecode, whatever ``PYTHONDONTWRITEBYTECODE`` says.  With
+two checkouts the children run in alternating pairs (BEFORE first in even
+pairs, AFTER first in odd ones).  A child
 reports, as the fastest of ``REPEATS`` runs unless said otherwise:
 
 - the throughput kernel, ``Link.of``, ``airtime`` and ``is_feasible`` per
@@ -51,6 +54,7 @@ differs, between the sides or between the children of one side.
 from __future__ import annotations
 
 import argparse
+import compileall
 import cProfile
 import hashlib
 import json
@@ -599,6 +603,9 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
 
+    for checkout in checkouts:
+        if not compileall.compile_dir(checkout / "src", quiet=1):
+            parser.error(f"{checkout / 'src'} does not compile")
     runs = [[] for _ in checkouts]
     for pair in range(args.pairs):
         order = range(len(checkouts)) if pair % 2 == 0 else reversed(range(len(checkouts)))

@@ -4,8 +4,8 @@ The package models one saturated transmitter: MSDUs packed into MPDUs,
 MPDUs packed into one A-MPDU per transmission cycle, each cycle ending in
 a block acknowledgment.  It evaluates the exact cycle throughput, finds
 the throughput-maximizing aggregation plan under the frame-count, byte and
-airtime limits, and carries the matching continuous model with its
-closed-form optimum.
+airtime limits, and carries the continuous model, a ``Link`` without the
+symbol ceiling and with real-valued MSDU counts, with its closed-form optimum.
 """
 from .params import (
     AC_MCS_RATES,
@@ -50,7 +50,6 @@ from .exact import (
     throughput_exact,
 )
 from .approx import (
-    ContinuousScenario,
     CrossoverReport,
     ReliableCrossover,
     crossover_mcs,
@@ -58,7 +57,6 @@ from .approx import (
     smallest_mcs_at_least,
     throughput_approx,
     throughput_on_budget,
-    x_opt_closed_form,
     x_opt_coefficient,
     y_from_x,
 )

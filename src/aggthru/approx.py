@@ -1,10 +1,13 @@
 """Continuous (rounding-free) throughput model and its closed-form optimum.
 
-Dropping the symbol ceiling, the MPDU padding and the 22 service/tail bits
-turns the cycle throughput into a smooth function of the MPDU count ``x``
-and the per-MPDU MSDU count ``y``.  On a lossy channel, constraining the
-PPDU to fill the whole transmission-time budget leaves a unimodal function
-of ``x`` alone, whose maximizer is the positive root of a quadratic.
+The continuous model is a ``Link`` built with ``round_symbols=False``: it
+keeps the link's frame sizing, tail bits, PSDU cap and per-regime block
+ack, and drops only the symbol ceiling and the integrality of the per-MPDU
+MSDU count ``y``.  That turns the cycle throughput into a smooth function
+of the MPDU count ``x`` and of ``y``.  On a lossy channel, constraining the
+PSDU to fill the link's ``bit_cap`` leaves a unimodal function of ``x``
+alone.  Its closed-form maximizer, the positive root of a quadratic, also
+drops the tail bits, the MPDU padding and the block-ack regime.
 """
 from __future__ import annotations
 
@@ -13,76 +16,33 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .geometry import MsduSlot, mpdu_bytes, success_probability, y_max
-from .params import BA64_FRAMES, DEFAULT_OVERHEAD, OverheadConfig, ProtocolConfig, cycle_overhead
+from .geometry import Link, MsduSlot, mpdu_bytes, y_max
+from .params import BA64_FRAMES, OverheadConfig, ProtocolConfig
 
 
-@dataclass(frozen=True)
-class ContinuousScenario:
-    """Inputs of the continuous model; real-valued x and y are first-class."""
+def throughput_approx(link: Link, x: float, y: float) -> float:
+    """Throughput of ``x`` MPDUs of ``y`` MSDUs each on ``link``, both counts real-valued [Mbps].
 
-    rate: float            # PHY rate [Mbps == bits/us]
-    ber: float
-    msdu_len: int          # payload bytes
-    padded_len: int        # subheader + payload, 4-byte aligned [bytes]
-    t_limit: float         # PPDU time limit [us]
-    preamble: float        # [us]
-    o_m_bits: int          # per-MPDU MAC overhead [bits]
-    cycle_overhead: float  # fixed per-cycle airtime [us]
-
-    def __post_init__(self):
-        if not 0.0 <= self.ber < 1.0:
-            raise ValueError(f"bit error rate must lie in [0, 1), got {self.ber}")
-        if self.rate <= 0:
-            raise ValueError("rate must be positive")
-
-    @property
-    def budget_bits(self) -> float:
-        """Bits the PHY can move in the post-preamble time budget."""
-        return self.rate * (self.t_limit - self.preamble)
-
-    @classmethod
-    def from_config(
-        cls,
-        config: ProtocolConfig,
-        overhead: OverheadConfig = DEFAULT_OVERHEAD,
-        *,
-        ber: float,
-        msdu_len: int,
-        rate: float,
-    ) -> "ContinuousScenario":
-        return cls(
-            rate=rate,
-            ber=ber,
-            msdu_len=msdu_len,
-            padded_len=MsduSlot.for_payload(msdu_len, overhead).padded_len,
-            t_limit=config.ppdu_time_limit,
-            preamble=config.preamble,
-            o_m_bits=8 * overhead.mpdu_overhead_bytes,
-            cycle_overhead=cycle_overhead(config, overhead),
-        )
+    On a link built with ``round_symbols=False`` this is the continuous model.
+    At integer ``x`` and ``y`` it is ``link.throughput`` of that plan, without
+    the limit checks.
+    """
+    good = link.payload_bits * (x * link.v(y))
+    overhead = link.overhead_ba64 if x <= BA64_FRAMES else link.overhead_full
+    return good / (overhead + link.symbols(link.psdu_bits(x, x * y)) * link.config.symbol_time)
 
 
-def throughput_approx(x: float, y: float, scenario: ContinuousScenario) -> float:
-    """Continuous cycle throughput for ``x`` MPDUs of ``y`` MSDUs each [Mbps]."""
-    mpdu_bits = scenario.o_m_bits + 8.0 * y * scenario.padded_len
-    p = success_probability(scenario.ber, mpdu_bits)
-    good = 8.0 * x * y * scenario.msdu_len * p
-    air = scenario.cycle_overhead + x * mpdu_bits / scenario.rate
-    return good / air
-
-
-def y_from_x(x: float, scenario: ContinuousScenario) -> float:
-    """MSDU count per MPDU that makes ``x`` MPDUs fill the time budget exactly."""
-    spare = scenario.budget_bits - x * scenario.o_m_bits
+def y_from_x(link: Link, x: float) -> float:
+    """MSDU count per MPDU that makes ``x`` MPDUs fill the link's ``bit_cap`` exactly."""
+    spare = link.bit_cap - link.c0 * x
     if spare < 0:
-        raise ValueError("x alone exceeds the airtime budget")
-    return spare / (x * 8.0 * scenario.padded_len)
+        raise ValueError("x alone exceeds the PSDU budget, bit_cap")
+    return spare / (link.step * x)
 
 
-def throughput_on_budget(x: float, scenario: ContinuousScenario) -> float:
-    """Continuous throughput of ``x`` budget-filling MPDUs [Mbps]."""
-    return throughput_approx(x, y_from_x(x, scenario), scenario)
+def throughput_on_budget(link: Link, x: float) -> float:
+    """Throughput of ``x`` MPDUs that fill the link's ``bit_cap`` [Mbps]."""
+    return throughput_approx(link, x, y_from_x(link, x))
 
 
 def x_opt_coefficient(ber: float, o_m_bits: int, t_limit: float, preamble: float) -> float:
@@ -112,13 +72,6 @@ def x_opt_coefficient(ber: float, o_m_bits: int, t_limit: float, preamble: float
             "per-MPDU overhead, ppdu_time_limit - preamble or bit error rate out of range"
         )
     return coefficient
-
-
-def x_opt_closed_form(scenario: ContinuousScenario) -> float:
-    """MPDU count maximizing the budget-filling throughput (real-valued)."""
-    return scenario.rate * x_opt_coefficient(
-        scenario.ber, scenario.o_m_bits, scenario.t_limit, scenario.preamble
-    )
 
 
 def smallest_mcs_at_least(config: ProtocolConfig, rate_threshold: float) -> Optional[int]:

@@ -22,7 +22,6 @@ import pytest
 from aggthru import (
     DEFAULT_OVERHEAD,
     AggregationPlan,
-    ContinuousScenario,
     MsduSlot,
     ProtocolFlavor,
     Scenario,
@@ -37,7 +36,6 @@ from aggthru import (
     smallest_mcs_at_least,
     success_probability,
     throughput_exact,
-    x_opt_closed_form,
     x_opt_coefficient,
     y_max,
 )
@@ -147,12 +145,14 @@ def test_criterion_06_continuous_exact_consistency():
     deltas = {}
     worst = 0
     for ber in (1e-7, 1e-6, 1e-5):
+        coefficient = x_opt_coefficient(
+            ber, 8 * DEFAULT_OVERHEAD.mpdu_overhead_bytes, lifted.ppdu_time_limit, lifted.preamble
+        )
         row = []
         for mcs in range(len(AX256.mcs_rates)):
             scenario = Scenario(ProtocolFlavor.AX256, mcs, ber, 64)
-            cs = ContinuousScenario.from_config(lifted, ber=ber, msdu_len=64, rate=phy_rate(lifted, mcs))
             x_exact = optimize_exact(scenario, lifted).plan.x
-            delta = x_exact - round(x_opt_closed_form(cs))
+            delta = x_exact - round(phy_rate(lifted, mcs) * coefficient)
             row.append(delta)
             worst = max(worst, abs(delta))
         deltas[ber] = row

@@ -1,6 +1,7 @@
 """``scripts/compare.py``: the checkout state and the call counts it records."""
 import importlib.util
 import subprocess
+import sys
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -186,3 +187,26 @@ def test_call_counts_keep_the_count_of_every_dataclass_init():
     assert [e.callcount for e in inits] == [1, 1]
     assert compare._calls_of(profile) == sum(e.callcount for e in profile.getstats())
     assert compare._calls_of(profile) == pstats.Stats(profile).total_calls + 1
+
+
+def test_every_checkout_is_compiled_before_the_first_child(tmp_path, monkeypatch):
+    # a side whose children find no cached bytecode starts slower than one
+    # whose children do, so both are compiled first, even where the
+    # interpreter writes no bytecode of its own
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    checkouts = [tmp_path / "before", tmp_path / "after"]
+    sources = []
+    for checkout in checkouts:
+        (checkout / "src" / "aggthru").mkdir(parents=True)
+        sources.append(checkout / "src" / "aggthru" / "__init__.py")
+        sources[-1].write_text("")
+    compiled = []
+
+    def child(checkout):
+        compiled.append([Path(importlib.util.cache_from_source(str(source))).exists() for source in sources])
+        return {"timings": dict.fromkeys(compare.UNITS, 1.0), "tier1": {}, "counts": {}, "digests": {},
+                "numpy": "-"}
+
+    monkeypatch.setattr(compare, "_run_child", child)
+    assert compare.main(["--pairs", "1", "--out", str(tmp_path / "out.json"), *map(str, checkouts)]) == 0
+    assert compiled == [[True, True], [True, True]]
