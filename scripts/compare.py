@@ -38,11 +38,12 @@ reports, as the fastest of ``REPEATS`` runs unless said otherwise:
   and the candidate plans scored, in total and per search stage
   (``_stage_candidates``), per cold ``optimize_exact`` over the default grid
   and over the ``scenario-mix`` requests, per default sweep and, for
-  candidates, in each huge search; the ``optimize_exact_batch``,
-  ``Link.v_table`` and ``Link.within_time_limit`` calls of one cold default
-  sweep (``_calls_of``), and the calls of one warm ``throughput_exact`` of
-  each ``KERNEL`` plan (``_kernel_calls``), all in ``_counts``: the same on
-  every run, so they show a change in work too small for the timings.
+  candidates, in each huge search; the ``Link.scores``,
+  ``optimize_exact_batch``, ``Link.v_table`` and ``Link.within_time_limit``
+  calls of one cold default sweep (``_calls_of``), and the calls of one warm
+  ``throughput_exact`` of each ``KERNEL`` plan (``_kernel_calls``), all in
+  ``_counts``: the same on every run, so they show a change in work too
+  small for the timings.
 
 The report, JSON, gives each side's git SHA, whether its tracked files differ
 from that commit (``dirty``), the lines of its ``src/aggthru/*.py``
@@ -199,17 +200,17 @@ def _candidates(call, *args) -> int:
 def _stage_candidates(call, *args) -> dict:
     """Candidate plans scored in one cold ``call(*args)`` (see ``_cold_reset``), per search stage.
 
-    Every stage scores its candidates in one ``Link.scores`` call, in the
-    order of ``STAGES``.  A search call of two or more channels first scores
-    the seed of all its MCSs, each at its own rate: the one call whose link
-    holds an array of rates.  Then each MCS scores its caps, its kinks and
-    the last ``M`` of each symbol count (only when rounding).  A checkout
-    that searches one MCS per call and seeds it on its own scores the seed
-    right after the caps instead; this counts both.  Each call adds the
-    number of plans its ``x`` and ``m`` broadcast to, one per plan whatever
-    the number of channels.  The kernel scores one plan without
-    ``Link.scores`` and adds nothing.  A ``NoFeasiblePlanError`` ends the
-    call as a return would.
+    Each MCS's search scores its caps and, with two or more channels, its
+    seed in one ``Link.scores`` call, then its kinks and the last ``M`` of
+    each symbol count (only when rounding).  Step 1 scores one cap per ``x``
+    from 1, so the caps of that first call are its largest ``x`` and the
+    rest of its plans are seed.  Older checkouts score the seed in a call of
+    its own: one right after the caps, or one for every MCS of a search
+    call ahead of them, the one call whose link holds an array of rates;
+    this counts all three alike.  Each call adds the number of plans its
+    ``x`` and ``m`` broadcast to, one per plan whatever the number of
+    channels.  The kernel scores one plan without ``Link.scores`` and adds
+    nothing.  A ``NoFeasiblePlanError`` ends the call as a return would.
     """
     import numpy as np
 
@@ -221,15 +222,19 @@ def _stage_candidates(call, *args) -> dict:
 
     def counting(self, x, m, *rest, **keywords):
         result = scores(self, x, m, *rest, **keywords)
+        size = np.broadcast(x, m).size
         if np.ndim(self.per_symbol):   # the seed of a whole call
             seeded_ahead.append(True)
-            stage = "seed"
+            scored["seed"] += size
+        elif not stages:   # a new search: its caps, one per x from 1, then any seed in the same call
+            caps = int(np.max(x))
+            # an older checkout scores a seed next; the scores have one row per channel
+            seed = ["seed"] * (size == caps and len(result[0]) > 1 and not seeded_ahead)
+            stages.extend([*seed, "kinks", *["symbols"] * self.round_symbols])
+            scored["caps"] += caps
+            scored["seed"] += size - caps
         else:
-            if not stages:   # the caps of a new search; its scores have one row per channel
-                seed = ["seed"] * (len(result[0]) > 1 and not seeded_ahead)
-                stages.extend(["caps", *seed, "kinks", *["symbols"] * self.round_symbols])
-            stage = stages.pop(0)
-        scored[stage] += np.broadcast(x, m).size
+            scored[stages.pop(0)] += size
         return result
 
     Link.scores = counting
@@ -411,9 +416,9 @@ def _counts() -> dict:
 
     The mean per cold search of the grid and of ``scenario-mix`` and the total
     per default sweep; the candidates also of each huge search, each in total
-    and per stage (``<name>.<stage>``); the search calls, ``v`` tables and
-    time checks of the sweep (``_calls_of``) and the calls of the kernel
-    (``_kernel_calls``).
+    and per stage (``<name>.<stage>``); the ``scores`` calls, search calls,
+    ``v`` tables and time checks of the sweep (``_calls_of``) and the calls
+    of the kernel (``_kernel_calls``).
     """
     from aggthru import optimize_exact, params
     from aggthru.report import SweepGrid, run_sweep
@@ -427,6 +432,7 @@ def _counts() -> dict:
             _calls(optimize_exact, *s) for s in mix
         ),
         "sweep.rounded.calls": _calls_of(sweep),
+        "sweep.rounded.scores_calls": _calls_of(sweep, "geometry.scores"),
         "sweep.rounded.searches": _calls_of(sweep, "exact.optimize_exact_batch"),
         "sweep.rounded.v_tables": _calls_of(sweep, "geometry.v_table"),
         "sweep.rounded.time_checks": _calls_of(sweep, "geometry.within_time_limit"),

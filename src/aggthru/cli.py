@@ -1,8 +1,9 @@
 """Command-line front end: optimize, sweep, xopt, crossover, validate.
 
 Exit codes: 0 success, 1 usage or configuration error, out of memory or a
-closed stdout (silent), 2 a sweep produced no feasible point.  Infeasible
-single scenarios are reported in-band as JSON, not as process failures.
+closed stdout (silent), 2 ``sweep`` or ``validate`` produced no feasible
+point.  Infeasible single scenarios are reported in-band as JSON, not as
+process failures.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from .report import SweepGrid, rows_to_csv, rows_to_json, run_sweep
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad flags; 2 is reserved for
-    # infeasible-only sweeps, so remap usage errors to 1
+    # infeasible-only sweeps and validations, so remap usage errors to 1
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
@@ -183,6 +184,9 @@ def _cmd_validate(args, overrides) -> int:
             "max_z_score": max_z,
         }
     )
+    if not checked:
+        print("sweep produced no feasible point", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -203,19 +202,19 @@ def optimize_exact(
       beat the channel's lowest maximizer nor tie it with a smaller
       ``(x, M)``: the channel's maximum and tie-break are unchanged.
     - Seed.  With two or more channels, step 1 also scores the widest
-      uniform kink of each ``y`` and regime, and ``best`` is the largest of
-      these and the caps.  Without it the union is as wide as the widest
-      channel's interval.  A seed is a feasible plan, so ``best`` still
-      never exceeds the channel's maximum, and a kink left out still scores
-      below it: the argument above holds as it stands.  A batch of one has
-      no union to narrow and is not seeded: seeding every search ran small
-      single searches 3.6-4.6 % slower.  Without the seed the default sweep
-      scores 379 141 candidates, not 90 767 (``scripts/compare.py``).
+      uniform kink of each ``y`` and regime, in the caps' ``Link.scores``
+      call, and ``best`` is the largest of these and the caps.  Without it
+      the union is as wide as the widest channel's interval.  A seed is a
+      feasible plan, so ``best`` still never exceeds the channel's maximum,
+      and a kink left out still scores below it: the argument above holds
+      as it stands.  A batch of one has no union to narrow and is not
+      seeded: seeding every search ran small single searches 3.6-4.6 %
+      slower.  Without the seed the default sweep scores 379 141
+      candidates, not 90 767 (``scripts/compare.py``).
     - Rates.  Each MCS is searched on its own over every BER of the call.
       Nothing crosses MCSs but values with no rate in them: the ``v`` rows,
-      ``y`` and ``C(y)``, sliced to the MCS's ``ym``, and the seeds, scored in
-      one ``Link.scores`` call at their own MCS's rate and reduced per MCS.
-      So each MCS scores the candidates of its own search, the same doubles.
+      ``y`` and ``C(y)``, sliced to the MCS's ``ym``.  So each MCS scores the
+      candidates of its own search, the same doubles.
     """
     result = optimize_exact_batch([scenario], config, overhead)[0]
     if result is None:
@@ -277,46 +276,36 @@ def optimize_exact_batch(
     ys = np.arange(1, ym_all + 1, dtype=np.int64)
     c = link.c0 + link.step * ys
     v_ys = v(ys)
-    x_tops = [np.minimum(x_cap, bit_cap // c[:ym]) for *_, bit_cap, x_cap, ym in live]   # widest uniform plans
-    seeds = [None] * len(live)
-    if len(bers) > 1:
-        # the seed, the widest uniform kink of each y and regime: 90 767 sweep candidates, not 379 141;
-        # every MCS's at its own rate in one call, then the best of each channel and MCS
-        wx, wm = [], []
-        for x_top in x_tops:
-            y, wide = ys[:x_top.size], x_top > BA64_FRAMES
-            wx.append(np.concatenate((np.minimum(x_top, BA64_FRAMES), x_top[wide])))
-            wm.append(wx[-1] * np.concatenate((y, y[wide])))
-        sizes = [x.size for x in wx]
-        rates = np.repeat([each[1][0].per_symbol for each in live], sizes)
-        thr = replace(link, per_symbol=rates).scores(np.concatenate(wx), np.concatenate(wm), v)[0]
-        seeds = np.maximum.reduceat(thr, np.cumsum([0] + sizes[:-1]), axis=1).T[..., None]
-    for (mcs, links, bit_cap, x_cap, ym), x_top, seed in zip(live, x_tops, seeds):
-        results = _search(links, bit_cap, x_cap, ym, x_top, seed, v, ys[:ym], c[:ym], v_ys[:, :ym])
-        found[mcs] = dict(zip(bers, results))
+    for mcs, links, bit_cap, x_cap, ym in live:
+        found[mcs] = dict(zip(bers, _search(links, bit_cap, x_cap, ym, v, ys[:ym], c[:ym], v_ys[:, :ym])))
     return tuple(found[s.mcs] and found[s.mcs][s.ber] for s in scenarios)
 
 
-def _search(links, bit_cap, x_cap, ym, x_top, seed, v, ys, c, v_ys):
+def _search(links, bit_cap, x_cap, ym, v, ys, c, v_ys):
     """Steps 1-3 and the pick of ``optimize_exact`` for one MCS: the result of each channel of ``links``.
 
-    ``ys``, ``c``, ``v_ys`` and ``x_top`` hold ``y``, ``C(y)``, ``v(y)`` and the
-    widest uniform plan for ``y = 1..ym``; ``seed`` is each channel's best seed, or None.
+    ``ys``, ``c`` and ``v_ys`` hold ``y``, ``C(y)`` and ``v(y)`` for ``y = 1..ym``.
     """
     link = links[0]
     c0, step, config = link.c0, link.step, link.config
     slack = 1.0 + _BOUND_SLACK
 
-    # 1. the cap M_max(x) of every x
+    # 1. the cap M_max(x) of every x and, with two or more channels, the seed: the widest
+    # uniform kink of each y and regime (90 767 sweep candidates, not 379 141), in one call
     xs = np.arange(1, x_cap + 1, dtype=np.int64)
     m_max = np.minimum(xs * ym, (bit_cap - c0 * xs) // step)
-    cap_thr, cap_u = link.scores(xs, m_max, v)
+    x_top = np.minimum(x_cap, bit_cap // c)   # the widest uniform plan of each y
+    x1, m1 = xs, m_max   # step 1's plans: the caps, then the seed
+    if len(links) > 1:
+        wide = x_top > BA64_FRAMES
+        x1 = np.concatenate((xs, np.minimum(x_top, BA64_FRAMES), x_top[wide]))
+        m1 = np.concatenate((m_max, x1[x_cap:] * np.concatenate((ys, ys[wide]))))
+    thr, u = link.scores(x1, m1, v)
+    cap_thr, cap_u = thr[:, :x_cap], u[:, :x_cap]
     t_bit = config.symbol_time / link.per_symbol
     tail_time = link.tail_bits * t_bit
     o = (link.overhead_ba64 + tail_time, link.overhead_full + tail_time)
-    best = cap_thr.max(axis=1, keepdims=True)
-    if seed is not None:
-        best = np.maximum(best, seed)
+    best = thr.max(axis=1, keepdims=True)
     best[best < _PRUNE_FLOOR] = 0.0   # every kink reaches a zero best
     with np.errstate(over="ignore"):   # inf is the right lower end; an overflow-free form divides by best or d
         best_o, best_b = best[..., None] * o, best * t_bit

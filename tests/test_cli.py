@@ -562,6 +562,16 @@ def test_validate_reports_deviation(capsys, tmp_path):
     assert payload["max_relative_deviation"] < 0.02
 
 
+def test_validate_without_a_feasible_point_exits_two(capsys, tmp_path):
+    # no transmission fits 50 us: nothing was checked, which is no pass
+    cfg = tmp_path / "tight.cfg"
+    cfg.write_text("ppdu_time_limit = 50\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "validate", "--cycles", "10", "--config", str(cfg))
+    assert code == 2
+    assert err == "sweep produced no feasible point\n"
+    assert json.loads(out)["points"] == 0
+
+
 def test_validate_takes_plans_that_lose_every_mpdu(capsys, tmp_path):
     # a 9.5 MB MAC header never arrives at BER 1e-5: those plans are feasible
     # with a throughput of 0, and have no relative deviation

@@ -104,7 +104,7 @@ def test_stage_counts_are_the_same_on_every_run_and_sum_to_the_totals():
 
 def test_a_call_over_every_mcs_scores_the_candidates_of_each_mcs_alone():
     # Rates: one call over every MCS scores, stage by stage, what one call per
-    # MCS scores; its seed is one Link.scores call for all the MCSs
+    # MCS scores; each MCS scores its seed in the Link.scores call of its caps
     def stages(mcss, round_symbols):
         scenarios = [Scenario(ProtocolFlavor.AC64, mcs, ber, 512) for mcs in mcss for ber in (0.0, 1e-5)]
         return compare._stage_candidates(partial(optimize_exact_batch, round_symbols=round_symbols), scenarios, AC64)

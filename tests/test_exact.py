@@ -34,6 +34,7 @@ from aggthru import (
     y_max,
 )
 from aggthru.exact import _BOUND_SLACK, _peak
+from aggthru.report import DEFAULT_BERS
 
 AC = default_config(ProtocolFlavor.AC64)
 AX64 = default_config(ProtocolFlavor.AX64)
@@ -669,6 +670,23 @@ def test_a_batch_settles_its_time_limit_once(monkeypatch, round_symbols):
     one = time_checks([0.0])
     assert one > 0
     assert time_checks([0.0, 1e-7, 1e-6, 1e-5]) == one
+
+
+@pytest.mark.parametrize("round_symbols", [True, False])
+@pytest.mark.parametrize("flavor,config,msdu_len", [(ProtocolFlavor.AC64, AC, 512), (ProtocolFlavor.AX256, AX256, 64)])
+def test_each_mcs_scores_its_seed_with_its_caps_at_its_own_rate(monkeypatch, flavor, config, msdu_len, round_symbols):
+    # Rates and Seed: every Link.scores call is one MCS's, on a link of its
+    # own scalar rate; the seed rides in the caps' call, so an MCS with a plan
+    # makes three calls (caps and seed, kinks, symbol counts), two unrounded
+    links = []
+    scores = Link.scores
+    monkeypatch.setattr(Link, "scores", lambda self, *args: links.append(self) or scores(self, *args))
+    scenarios = [Scenario(flavor, mcs, ber, msdu_len) for mcs in range(len(config.mcs_rates)) for ber in DEFAULT_BERS]
+    results = optimize_exact_batch(scenarios, config, round_symbols=round_symbols)
+    searched = {s.mcs for s, result in zip(scenarios, results) if result is not None}
+    assert searched
+    assert all(isinstance(link.per_symbol, float) for link in links)
+    assert len(links) == (3 if round_symbols else 2) * len(searched)
 
 
 @settings(max_examples=100, deadline=None)
